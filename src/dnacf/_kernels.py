@@ -1,9 +1,9 @@
 """Hot loops behind enumeration, distance scans, and the random search.
 
-Each kernel exists twice: a scalar version compiled with numba and a
-NumPy-vectorized (or plain Python) fallback.  Set ``DNACF_NO_NUMBA=1`` to
-skip numba entirely; both paths produce bit-identical results (see
-tests/test_kernels.py and benchmarks/bench_kernels.py).
+Every kernel is NumPy-vectorized where the work is array shaped, and plain
+Python where it is a short scalar loop (the per-trial draws).  The search's
+distance work goes through one orbit-distance matrix (:func:`orbit_distances`);
+its size is capped by :data:`DIST_MEMORY_LIMIT`.
 
 Packed layout: two bits per base, leftmost base most significant, so packed
 values ascend in lexicographic string order.
@@ -11,22 +11,19 @@ values ascend in lexicographic string order.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("DNACF_NO_NUMBA", "").lower() in ("1", "true", "yes")
+from .core import LOW_BITS
+
+#: kernel backend; recorded by benchmarks.  There is no compiled backend.
 NUMBA_ENABLED = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit as _njit
 
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-LOW_BITS = 0x5555555555555555
 _M64 = (1 << 64) - 1
+
+#: largest orbit-distance matrix that :func:`orbit_distances` will allocate,
+#: in bytes (one byte per orbit pair).  512 MiB admits the (n, n/2, n/2)
+#: seed sets up to n = 12 (21,064 orbits) and refuses n = 13 (48,858).
+DIST_MEMORY_LIMIT = 512 << 20
 
 # subset-cardinality laws for the random construction
 LAW_UNIFORM = 0
@@ -36,9 +33,11 @@ LAW_FULL = 3
 LAW_CODES = {"uniform": LAW_UNIFORM, "dyadic": LAW_DYADIC, "mixed": LAW_MIXED, "full": LAW_FULL}
 
 # reverse-complement of every packed 3-mer
-_d = np.arange(64)
-RC3 = np.asarray(63 - (((_d & 3) << 4) | (_d & 12) | (_d >> 4)), dtype=np.int64)
-del _d
+RC3 = tuple(63 - (((d & 3) << 4) | (d & 12) | (d >> 4)) for d in range(64))
+
+
+class InstanceTooLargeError(RuntimeError):
+    """Raised when an exact computation is refused at the requested size."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +45,11 @@ del _d
 # so results do not depend on how trials are scheduled
 # ---------------------------------------------------------------------------
 
-def _py_trial_state(master_seed: int, trial: int) -> int:
+def _trial_state(master_seed: int, trial: int) -> int:
     return (master_seed * 0x9E3779B97F4A7C15 + trial * 0xD1B54A32D192ED03 + 1) & _M64
 
 
-def _py_next(state: int) -> tuple[int, int]:
+def _next_u64(state: int) -> tuple[int, int]:
     state = (state + 0x9E3779B97F4A7C15) & _M64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -58,58 +57,31 @@ def _py_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _py_draw_size(state: int, law: int, n_seed: int) -> tuple[int, int]:
+def _draw_size(state: int, law: int, n_seed: int) -> tuple[int, int]:
     if law == LAW_FULL:
         return state, n_seed
     if law == LAW_UNIFORM:
-        state, z = _py_next(state)
+        state, z = _next_u64(state)
         return state, 1 + z % n_seed
     if law == LAW_MIXED:
-        state, z = _py_next(state)
+        state, z = _next_u64(state)
         if z & 1:
             return state, min(n_seed, 1 + (z >> 1) % 16)
     # dyadic band: pick a power-of-two size range, then uniform inside it
     bits = n_seed.bit_length()
-    state, z1 = _py_next(state)
+    state, z1 = _next_u64(state)
     m = z1 % bits
     lo = 1 << m
     hi = min(n_seed, (1 << (m + 1)) - 1)
-    state, z2 = _py_next(state)
+    state, z2 = _next_u64(state)
     return state, lo + z2 % (hi - lo + 1)
 
 
 # ---------------------------------------------------------------------------
-# scalar kernel sources (compiled with numba when available)
+# packed single-string predicates
 # ---------------------------------------------------------------------------
-# All values fit well inside int64 (strings of length <= 31), and every
-# popcount input has fewer than 128 set bits, so the SWAR multiply below
-# never sets the sign bit of the wrapped product.
 
-def _popcount_src(x):
-    x = x - ((x >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (x * 0x0101010101010101) >> 56
-
-
-def _hamming_packed_src(a, b):
-    x = a ^ b
-    return _popcount((x | (x >> 1)) & LOW_BITS)
-
-
-def _gc_packed_src(v, n):
-    return _popcount((v ^ (v >> 1)) & LOW_BITS & ((1 << (2 * n)) - 1))
-
-
-def _reverse_packed_src(v, n):
-    out = 0
-    for _ in range(n):
-        out = (out << 2) | (v & 3)
-        v >>= 2
-    return out
-
-
-def _conflict_free_packed_src(v, n, ell):
+def conflict_free_packed(v: int, n: int, ell: int) -> bool:
     # adjacent t-blocks at every offset, t = 1..ell
     for t in range(1, ell + 1):
         bm = (1 << (2 * t)) - 1
@@ -119,147 +91,24 @@ def _conflict_free_packed_src(v, n, ell):
     return True
 
 
-def _rc_free_packed_src(v, n, rc3):
+def rc_free_packed(v: int, n: int) -> bool:
     # no 3-mer may occur together with its reverse-complement
-    if n < 3:
-        return True
     seen = 0
     for p in range(n - 2):
-        w = (v >> (2 * (n - p - 3))) & 63
-        seen |= 1 << w
+        seen |= 1 << ((v >> (2 * (n - p - 3))) & 63)
     for w in range(64):
-        if (seen >> w) & 1 == 1 and (seen >> int(rc3[w])) & 1 == 1:
+        if (seen >> w) & 1 == 1 and (seen >> RC3[w]) & 1 == 1:
             return False
     return True
 
 
-def _enumerate_seeds_src(n, ell, g):
-    total = 1 << (2 * n)
-    count = 0
-    for v in range(total):
-        if _gc_packed(v, n) == g and _conflict_free_packed(v, n, ell):
-            count += 1
-    out = np.empty(count, dtype=np.int64)
-    k = 0
-    for v in range(total):
-        if _gc_packed(v, n) == g and _conflict_free_packed(v, n, ell):
-            out[k] = v
-            k += 1
-    return out
-
-
-def _min_pairwise_u8_src(mat):
-    m, n = mat.shape
-    best = n + 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = 0
-            for k in range(n):
-                if mat[i, k] != mat[j, k]:
-                    d += 1
-                    if d >= best:
-                        break
-            if d < best:
-                best = d
-                if best == 1:
-                    return 1
-    return best
-
-
-def _min_cross_u8_src(a, b):
-    # min over all (i, j) of d(a_i, b_j); pairs with identical rows are skipped
-    m, n = a.shape
-    q = b.shape[0]
-    best = n + 1
-    for i in range(m):
-        for j in range(q):
-            d = 0
-            for k in range(n):
-                if a[i, k] != b[j, k]:
-                    d += 1
-                    if d >= best:
-                        break
-            if 0 < d < best:
-                best = d
-                if best == 1:
-                    return 1
-    return best
-
-
-def _run_trials_src(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
-    n_seed = vals.shape[0]
-    n_orb = orb_ptr.shape[0] - 1
-    pool = np.arange(n_seed, dtype=np.int64)
-    swap_to = np.empty(n_seed, dtype=np.int64)
-    member_buf = np.empty(n_seed, dtype=np.int64)
-    orb_mark = np.zeros(n_orb, dtype=np.uint8)
-    touched = np.empty(n_orb, dtype=np.int64)
-    best_size = np.zeros(n + 1, dtype=np.int64)
-    best_trial = np.full(n + 1, -1, dtype=np.int64)
-
-    for t in range(trials):
-        state = _trial_state(master_seed, t)
-        state, r = _draw_size(state, law, n_seed)
-        # partial Fisher-Yates for an r-subset of seed indices, undone after
-        for i in range(r):
-            state, z = _next_u64(state)
-            j = i + _mod_u64(z, n_seed - i)
-            swap_to[i] = j
-            tmp = pool[i]
-            pool[i] = pool[j]
-            pool[j] = tmp
-        n_touch = 0
-        size_c = 0
-        for i in range(r):
-            k = orb_of[pool[i]]
-            if orb_mark[k] == 0:
-                orb_mark[k] = 1
-                touched[n_touch] = k
-                n_touch += 1
-                for q in range(orb_ptr[k], orb_ptr[k + 1]):
-                    member_buf[size_c] = orb_members[q]
-                    size_c += 1
-        # smallest bucket this closure could still improve
-        d_gate = 0
-        for d in range(1, n + 1):
-            if best_size[d] < size_c:
-                d_gate = d
-                break
-        if d_gate > 0:
-            if size_c == 1:
-                d_star = n  # singleton convention: distance floor n
-            else:
-                d_star = n + 1
-                for i in range(size_c):
-                    vi = vals[member_buf[i]]
-                    for j in range(i + 1, size_c):
-                        d = _hamming_packed(vi, vals[member_buf[j]])
-                        if d < d_star:
-                            d_star = d
-                            if d_star < d_gate:
-                                break
-                    if d_star < d_gate:
-                        break
-            if d_star >= d_gate:
-                for d in range(1, d_star + 1):
-                    if size_c > best_size[d]:
-                        best_size[d] = size_c
-                        best_trial[d] = t
-        for i in range(n_touch):
-            orb_mark[touched[i]] = 0
-        for i in range(r - 1, -1, -1):
-            j = swap_to[i]
-            tmp = pool[i]
-            pool[i] = pool[j]
-            pool[j] = tmp
-    return best_size, best_trial
-
-
 # ---------------------------------------------------------------------------
-# NumPy fallbacks
+# array kernels
 # ---------------------------------------------------------------------------
 
-def _enumerate_seeds_numpy(n, ell, g):
+def enumerate_seed_values(n, ell, g):
+    """Packed values of every length-n string with GC content g that is ell
+    conflict free, ascending."""
     total = 1 << (2 * n)
     low_mask = LOW_BITS & ((1 << (2 * n)) - 1)
     parts = []
@@ -278,7 +127,8 @@ def _enumerate_seeds_numpy(n, ell, g):
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def _min_pairwise_u8_numpy(mat):
+def min_pairwise_u8(mat):
+    """Minimum Hamming distance over the distinct row pairs of a uint8 matrix."""
     m, n = mat.shape
     best = n + 1
     step = max(1, (1 << 22) // max(1, m * n))
@@ -296,7 +146,8 @@ def _min_pairwise_u8_numpy(mat):
     return best
 
 
-def _min_cross_u8_numpy(a, b):
+def min_cross_u8(a, b):
+    """Minimum of d(a_i, b_j) over all row pairs; identical rows are skipped."""
     m, n = a.shape
     best = n + 1
     step = max(1, (1 << 22) // max(1, b.shape[0] * n))
@@ -313,48 +164,84 @@ def _min_cross_u8_numpy(a, b):
     return best
 
 
-def _run_trials_numpy(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
-    n_seed = vals.shape[0]
-    pool = np.arange(n_seed, dtype=np.int64)
-    best_size = np.zeros(n + 1, dtype=np.int64)
-    best_trial = np.full(n + 1, -1, dtype=np.int64)
+def orbit_distances(vals, orb_ptr, orb_members, n):
+    """Minimum Hamming distance between every pair of orbits, as uint8.
+
+    ``D[a, b]`` is the smallest distance between a word of orbit a and a word
+    of orbit b; ``D[a, a]`` is the smallest inside orbit a, and ``n + 1`` for a
+    singleton.  The orbits come from maps that preserve distance when applied
+    to both words, so row a only scans the words against a's first member.
+    Refuses, before allocating, a matrix larger than :data:`DIST_MEMORY_LIMIT`.
+    """
+    n_orb = orb_ptr.shape[0] - 1
+    if n_orb * n_orb > DIST_MEMORY_LIMIT:
+        raise InstanceTooLargeError(
+            f"{n_orb} orbits need a {n_orb * n_orb / (1 << 20):.0f} MiB distance matrix; "
+            f"the limit is {DIST_MEMORY_LIMIT >> 20} MiB"
+        )
+    words = vals[orb_members]
+    starts = orb_ptr[:-1]
+    reps = words[starts]
     low_mask = LOW_BITS & ((1 << (2 * n)) - 1)
+    dist = np.empty((n_orb, n_orb), dtype=np.uint8)
+    step = max(1, (1 << 20) // max(1, words.size))
+    for lo in range(0, n_orb, step):
+        hi = min(lo + step, n_orb)
+        x = reps[lo:hi, None] ^ words[None, :]
+        d = np.bitwise_count((x | (x >> 1)) & low_mask)
+        d[np.arange(hi - lo), starts[lo:hi]] = n + 1  # a word against itself
+        dist[lo:hi] = np.minimum.reduceat(d, starts, axis=1)
+    return dist
+
+
+def _closure_distance(dist, orbs, d_gate):
+    """Minimum of ``dist`` over the orbits ``orbs``, scanned in row chunks.
+
+    Stops early once the minimum is below ``d_gate`` (the closure cannot
+    enter any bucket) or reaches 1 (no distinct words are closer)."""
+    k = orbs.size
+    step = max(1, (1 << 16) // k)
+    d_star = 255  # above every distance
+    for lo in range(0, k, step):
+        # dist is symmetric: earlier chunks already covered columns before lo
+        d_star = min(d_star, int(dist[orbs[lo:lo + step]][:, orbs[lo:]].min()))
+        if d_star < d_gate or d_star == 1:
+            break
+    return d_star
+
+
+def run_trials(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
+    """Run the random closure construction; return per-floor best sizes and
+    the trial that first reached each, both indexed by distance 0..n.
+
+    Each trial draws a subset size from the law and a partial Fisher-Yates
+    subset of seeds, closes it under the orbits, and measures the closure's
+    minimum distance from :func:`orbit_distances`.  Closures that cannot
+    improve any bucket are not measured.  Every orbit must have two or more
+    members, as under r and c (the complement changes every base), so a
+    closure's distance never exceeds n.
+    """
+    n_seed = vals.shape[0]
+    dist = orbit_distances(vals, orb_ptr, orb_members, n)
+    orb_size = np.diff(orb_ptr)
+    pool = list(range(n_seed))
+    best_size = [0] * (n + 1)
+    best_trial = [-1] * (n + 1)
     for t in range(trials):
-        state = _py_trial_state(master_seed, t)
-        state, r = _py_draw_size(state, law, n_seed)
+        state = _trial_state(master_seed, t)
+        state, r = _draw_size(state, law, n_seed)
         swaps = []
         for i in range(r):
-            state, z = _py_next(state)
+            state, z = _next_u64(state)
             j = i + z % (n_seed - i)
             swaps.append(j)
             pool[i], pool[j] = pool[j], pool[i]
         orbs = np.unique(orb_of[pool[:r]])
-        members = np.concatenate([orb_members[orb_ptr[k]:orb_ptr[k + 1]] for k in orbs])
-        size_c = members.size
-        d_gate = 0
-        for d in range(1, n + 1):
-            if best_size[d] < size_c:
-                d_gate = d
-                break
-        if d_gate > 0:
-            if size_c == 1:
-                d_star = n
-            else:
-                sub = vals[members]
-                d_star = n + 1
-                step = max(1, (1 << 20) // max(1, size_c))
-                cols = np.arange(size_c)[None, :]
-                for lo in range(0, size_c, step):
-                    hi = min(lo + step, size_c)
-                    x = sub[lo:hi, None] ^ sub[None, :]
-                    d = np.bitwise_count(((x | (x >> 1)) & low_mask).astype(np.uint64))
-                    iu = np.arange(lo, hi)[:, None] < cols
-                    if iu.any():
-                        cand = int(d[iu].min())
-                        if cand < d_star:
-                            d_star = cand
-                    if d_star < d_gate:
-                        break
+        size_c = int(orb_size[orbs].sum())
+        # smallest bucket this closure could still improve
+        d_gate = next((d for d in range(1, n + 1) if best_size[d] < size_c), 0)
+        if d_gate:
+            d_star = _closure_distance(dist, orbs, d_gate)
             if d_star >= d_gate:
                 for d in range(1, d_star + 1):
                     if size_c > best_size[d]:
@@ -363,17 +250,17 @@ def _run_trials_numpy(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed
         for i in range(r - 1, -1, -1):
             j = swaps[i]
             pool[i], pool[j] = pool[j], pool[i]
-    return best_size, best_trial
+    return np.array(best_size, dtype=np.int64), np.array(best_trial, dtype=np.int64)
 
 
 def replay_trial(vals, orb_of, orb_ptr, orb_members, trial, master_seed, law):
     """Re-run one trial's draws and return the sorted closure member indices."""
     n_seed = vals.shape[0]
-    state = _py_trial_state(master_seed, trial)
-    state, r = _py_draw_size(state, law, n_seed)
+    state = _trial_state(master_seed, trial)
+    state, r = _draw_size(state, law, n_seed)
     pool = list(range(n_seed))
     for i in range(r):
-        state, z = _py_next(state)
+        state, z = _next_u64(state)
         j = i + z % (n_seed - i)
         pool[i], pool[j] = pool[j], pool[i]
     members: list[int] = []
@@ -384,115 +271,3 @@ def replay_trial(vals, orb_of, orb_ptr, orb_members, trial, master_seed, law):
             seen.add(k)
             members.extend(int(m) for m in orb_members[orb_ptr[k]:orb_ptr[k + 1]])
     return sorted(members)
-
-
-# ---------------------------------------------------------------------------
-# path selection
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    _u64 = np.uint64
-
-    @_njit(cache=True)
-    def _trial_state(master_seed, trial):
-        return (
-            _u64(master_seed) * _u64(0x9E3779B97F4A7C15)
-            + _u64(trial) * _u64(0xD1B54A32D192ED03)
-            + _u64(1)
-        )
-
-    @_njit(cache=True)
-    def _next_u64(state):
-        state = state + _u64(0x9E3779B97F4A7C15)
-        z = state
-        z = (z ^ (z >> _u64(30))) * _u64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _u64(27))) * _u64(0x94D049BB133111EB)
-        return state, z ^ (z >> _u64(31))
-
-    @_njit(cache=True)
-    def _mod_u64(z, m):
-        return int(z % _u64(m))
-
-    @_njit(cache=True)
-    def _draw_size(state, law, n_seed):
-        if law == 3:  # full
-            return state, n_seed
-        if law == 0:  # uniform
-            state, z = _next_u64(state)
-            return state, 1 + _mod_u64(z, n_seed)
-        if law == 2:  # mixed: half the trials draw a small subset
-            state, z = _next_u64(state)
-            if z & _u64(1) == _u64(1):
-                r = 1 + _mod_u64(z >> _u64(1), 16)
-                if r > n_seed:
-                    r = n_seed
-                return state, r
-        bits = 0
-        t = n_seed
-        while t > 0:
-            bits += 1
-            t >>= 1
-        state, z1 = _next_u64(state)
-        m = _mod_u64(z1, bits)
-        lo = 1 << m
-        hi = (1 << (m + 1)) - 1
-        if hi > n_seed:
-            hi = n_seed
-        state, z2 = _next_u64(state)
-        return state, lo + _mod_u64(z2, hi - lo + 1)
-
-    _popcount = _njit(cache=True)(_popcount_src)
-    _hamming_packed = _njit(cache=True)(_hamming_packed_src)
-    _gc_packed = _njit(cache=True)(_gc_packed_src)
-    _reverse_packed = _njit(cache=True)(_reverse_packed_src)
-    _conflict_free_packed = _njit(cache=True)(_conflict_free_packed_src)
-    _rc_free_packed = _njit(cache=True)(_rc_free_packed_src)
-    _enumerate_seeds_nb = _njit(cache=True)(_enumerate_seeds_src)
-    _min_pairwise_u8_nb = _njit(cache=True)(_min_pairwise_u8_src)
-    _min_cross_u8_nb = _njit(cache=True)(_min_cross_u8_src)
-    _run_trials_nb = _njit(cache=True)(_run_trials_src)
-
-    enumerate_seed_values = _enumerate_seeds_nb
-    min_pairwise_u8 = _min_pairwise_u8_nb
-    min_cross_u8 = _min_cross_u8_nb
-    run_trials = _run_trials_nb
-else:
-    def _popcount(x):
-        return x.bit_count()
-
-    _hamming_packed = _hamming_packed_src
-    _gc_packed = _gc_packed_src
-    _reverse_packed = _reverse_packed_src
-    _conflict_free_packed = _conflict_free_packed_src
-    _rc_free_packed = _rc_free_packed_src
-
-    enumerate_seed_values = _enumerate_seeds_numpy
-    min_pairwise_u8 = _min_pairwise_u8_numpy
-    min_cross_u8 = _min_cross_u8_numpy
-    run_trials = _run_trials_numpy
-
-
-def conflict_free_packed(v: int, n: int, ell: int) -> bool:
-    return bool(_conflict_free_packed(v, n, ell))
-
-
-def rc_free_packed(v: int, n: int) -> bool:
-    return bool(_rc_free_packed(v, n, RC3))
-
-
-def hamming_packed(a: int, b: int) -> int:
-    return int(_hamming_packed(a, b))
-
-
-#: both implementations of each kernel, for parity tests and the benchmark
-IMPLEMENTATIONS: dict[str, dict[str, object]] = {
-    "enumerate_seed_values": {"numpy": _enumerate_seeds_numpy},
-    "min_pairwise_u8": {"numpy": _min_pairwise_u8_numpy},
-    "min_cross_u8": {"numpy": _min_cross_u8_numpy},
-    "run_trials": {"numpy": _run_trials_numpy},
-}
-if NUMBA_ENABLED:
-    IMPLEMENTATIONS["enumerate_seed_values"]["numba"] = _enumerate_seeds_nb
-    IMPLEMENTATIONS["min_pairwise_u8"]["numba"] = _min_pairwise_u8_nb
-    IMPLEMENTATIONS["min_cross_u8"]["numba"] = _min_cross_u8_nb
-    IMPLEMENTATIONS["run_trials"]["numba"] = _run_trials_nb

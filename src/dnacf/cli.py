@@ -148,6 +148,8 @@ def _named_code(name: str) -> bincodes.BinaryCode:
     if name.startswith("file:"):
         path = name[len("file:"):]
         words = [w.strip() for w in Path(path).read_text().split() if w.strip()]
+        if not words:
+            raise ValueError(f"{path}: no codewords")
         return bincodes.BinaryCode(name=path, n=len(words[0]), words=tuple(words))
     raise ValueError(
         f"unknown code {name!r}; use hamming74, golay23, repetitionN, rm,R,M, or file:PATH"
@@ -334,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, search.InstanceTooLargeError) as exc:
+    except (ValueError, OSError, search.InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,11 +96,12 @@ def complement_packed(v: int, n: int) -> int:
     return v ^ ((1 << (2 * n)) - 1)
 
 
-def reverse_packed(v: int, n: int) -> int:
+def reverse_packed(v, n: int):
+    """Reverse a packed value, or elementwise an integer array of them."""
     out = 0
     for _ in range(n):
         out = (out << 2) | (v & 3)
-        v >>= 2
+        v = v >> 2
     return out
 
 

@@ -16,11 +16,8 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels, core
+from ._kernels import InstanceTooLargeError  # noqa: F401  (re-exported for the CLI)
 from .constraints import DnaCode, verify_code
-
-
-class InstanceTooLargeError(RuntimeError):
-    """Raised when an exact computation is refused at the requested size."""
 
 
 @dataclass(frozen=True)
@@ -122,30 +119,28 @@ class BoundTable:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _orbit_partition(vals: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR partition of seed values into orbits under reverse/complement.
+def _orbit_partition(
+    vals: np.ndarray, n: int, ops: Iterable[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR partition of seed values into orbits under the group generated by
+    ``ops`` (any of "r", "c", "rc"; other names are ignored).
 
-    The seed set is closed under both maps, so every orbit stays inside it.
+    Returns ``orb_of`` (orbit of each seed), ``orb_ptr`` (start offsets) and
+    ``orb_members`` (seed indices, orbit by orbit).  Orbits are numbered by
+    their smallest value and list their members ascending.  The seed set must
+    be closed under the maps.
     """
-    index = {int(v): i for i, v in enumerate(vals)}
-    orb_of = np.full(len(vals), -1, dtype=np.int64)
-    groups: list[list[int]] = []
+    ops = set(ops) & {"r", "c", "rc"}
     mask = (1 << (2 * n)) - 1
-    for i, v in enumerate(vals):
-        if orb_of[i] >= 0:
-            continue
-        v = int(v)
-        rv = core.reverse_packed(v, n)
-        members = sorted({v, rv, v ^ mask, rv ^ mask})
-        gid = len(groups)
-        idxs = [index[m] for m in members]
-        for ix in idxs:
-            orb_of[ix] = gid
-        groups.append(idxs)
-    orb_ptr = np.zeros(len(groups) + 1, dtype=np.int64)
-    for gid, idxs in enumerate(groups):
-        orb_ptr[gid + 1] = orb_ptr[gid] + len(idxs)
-    orb_members = np.concatenate([np.array(g, dtype=np.int64) for g in groups])
+    rev = core.reverse_packed(vals, n)
+    images = {"r": rev, "c": vals ^ mask, "rc": rev ^ mask}
+    # any two of r, c, rc generate all three
+    group = [images[op] for op in sorted(images if len(ops) > 1 else ops)]
+    if not all(np.isin(img, vals).all() for img in group):
+        raise ValueError("seed set not closed under the requested maps")
+    _, orb_of = np.unique(np.minimum.reduce([vals, *group]), return_inverse=True)
+    orb_members = np.argsort(orb_of, kind="stable")
+    orb_ptr = np.concatenate([[0], np.cumsum(np.bincount(orb_of))])
     return orb_of, orb_ptr, orb_members
 
 
@@ -155,7 +150,7 @@ def random_construction(spec: SeedSetSpec, config: SearchConfig) -> BoundTable:
     vals = _kernels.enumerate_seed_values(spec.n, spec.ell, spec.g)
     if vals.size == 0:
         raise ValueError(f"empty seed set for {spec}")
-    orb_of, orb_ptr, orb_members = _orbit_partition(vals, spec.n)
+    orb_of, orb_ptr, orb_members = _orbit_partition(vals, spec.n, ("r", "c"))
     law = _kernels.LAW_CODES[config.subset_law]
     best_size, best_trial = _kernels.run_trials(
         vals, orb_of, orb_ptr, orb_members, spec.n, config.trials, config.master_seed, law
@@ -197,7 +192,9 @@ def exact_max_size(
     """Exact maximum code size over the seed set, with the code closed under
     the requested involutions and all pairwise distances >= d.
 
-    Only desk-scale instances are accepted (seed set <= 512 or n <= 6).
+    The vertices are the orbits whose own minimum distance is >= d, weighted
+    by size; two are adjacent when their orbit distance is >= d.  Only
+    desk-scale instances are accepted (seed set <= 512 or n <= 6).
     """
     ops = set(constraint_set)
     if not ops <= _CONSTRAINT_OPS:
@@ -212,34 +209,20 @@ def exact_max_size(
         raise InstanceTooLargeError(
             f"seed set of {vals.size} strings at n={n}; exact search refused"
         )
-    closure_ops = ops & {"r", "rc", "c"}
-    orbits = _orbits_under(vals, n, closure_ops)
+    _, orb_ptr, orb_members = _orbit_partition(vals, n, ops)
     if d == 1:
         return int(vals.size)  # distinctness alone; the closed seed set is optimal
 
     # orbit compatibility graph: a clique is a valid closed code
-    sizes_all = [len(o) for o in orbits]
-    packed = [np.array(o, dtype=np.int64) for o in orbits]
-    ok_self = []
-    for o in packed:
-        good = all(
-            _kernels.hamming_packed(int(o[i]), int(o[j])) >= d
-            for i in range(len(o))
-            for j in range(i + 1, len(o))
-        )
-        ok_self.append(good)
-    idxs = [i for i in range(len(orbits)) if ok_self[i]]
+    dist = _kernels.orbit_distances(vals, orb_ptr, orb_members, n)
+    sizes = np.diff(orb_ptr)
+    idxs = np.flatnonzero(np.diag(dist) >= d)
     # renumber vertices 0..V-1, heaviest first
-    idxs.sort(key=lambda i: (-sizes_all[i], i))
-    v_count = len(idxs)
-    weights = [sizes_all[i] for i in idxs]
-    adj = [0] * v_count
-    for a in range(v_count):
-        for b in range(a + 1, v_count):
-            if _orbits_compatible(packed[idxs[a]], packed[idxs[b]], d):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return _max_weight_clique(weights, adj)
+    idxs = idxs[np.argsort(-sizes[idxs], kind="stable")]
+    ok = dist[np.ix_(idxs, idxs)] >= d
+    np.fill_diagonal(ok, False)
+    adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in ok]
+    return _max_weight_clique(sizes[idxs].tolist(), adj)
 
 
 def _max_weight_clique(weights: list[int], adj: list[int]) -> int:
@@ -297,47 +280,6 @@ def _max_weight_clique(weights: list[int], adj: list[int]) -> int:
 def _enumerate_conflict_free(n: int, ell: int) -> np.ndarray:
     parts = [_kernels.enumerate_seed_values(n, ell, g) for g in range(n + 1)]
     return np.sort(np.concatenate(parts))
-
-
-def _orbits_under(vals: np.ndarray, n: int, ops: set[str]) -> list[list[int]]:
-    """Partition into orbits under the group generated by the chosen maps."""
-    mask = (1 << (2 * n)) - 1
-    gens = []
-    if "r" in ops:
-        gens.append(lambda v: core.reverse_packed(v, n))
-    if "c" in ops:
-        gens.append(lambda v: v ^ mask)
-    if "rc" in ops:
-        gens.append(lambda v: core.reverse_packed(v, n) ^ mask)
-    present = {int(v) for v in vals}
-    seen: set[int] = set()
-    orbits: list[list[int]] = []
-    for v in vals:
-        v = int(v)
-        if v in seen:
-            continue
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            w = frontier.pop()
-            for gfun in gens:
-                u = gfun(w)
-                if u not in orbit:
-                    if u not in present:
-                        raise AssertionError("seed set not closed under requested ops")
-                    orbit.add(u)
-                    frontier.append(u)
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    return orbits
-
-
-def _orbits_compatible(a: np.ndarray, b: np.ndarray, d: int) -> bool:
-    for va in a:
-        for vb in b:
-            if _kernels.hamming_packed(int(va), int(vb)) < d:
-                return False
-    return True
 
 
 def verify_table(table: BoundTable) -> bool:

@@ -1,6 +1,7 @@
 from hypothesis import HealthCheck, settings
 
-# first calls pay numba compilation; deadlines would misattribute that cost
+# example timing follows machine load, not the code under test; per-example
+# deadlines would turn a busy machine into spurious failures
 settings.register_profile(
     "dnacf",
     deadline=None,

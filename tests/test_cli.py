@@ -1,6 +1,6 @@
 import json
 
-from dnacf import reference
+from dnacf import _kernels, reference
 from dnacf.cli import main, read_code_file
 
 
@@ -98,6 +98,12 @@ def test_verify_mixed_lengths(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_missing_file_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "verify", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert "missing.txt" in err and "Traceback" not in err
+
+
 def test_pairs_command(tmp_path, capsys):
     for ell, expect in ((3, 8), (4, 32)):
         out = tmp_path / f"p{ell}.tsv"
@@ -172,3 +178,18 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     assert run(capsys, "seeds", "--n", "2", "--ell", "1", "--gc", "1",
                "--out", "rel/seeds.txt")[0] == 0
     assert (tmp_path / "rel" / "seeds.txt").exists()
+
+
+def test_encode_empty_file_code(tmp_path, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text("\n")
+    code, _, err = run(capsys, "encode", "--code", f"file:{f}", "--ell", "3")
+    assert code == 2
+    assert "no codewords" in err
+
+
+def test_search_distance_matrix_limit(monkeypatch, capsys):
+    monkeypatch.setattr(_kernels, "DIST_MEMORY_LIMIT", 100)
+    code, _, err = run(capsys, "search", "--n", "4", "--ell", "2", "--gc", "2", "--trials", "10")
+    assert code == 2
+    assert "MiB" in err

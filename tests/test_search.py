@@ -117,6 +117,86 @@ def test_exact_max_matches_published_row():
         assert exact_max_size(4, 2, 2, d, ("r", "c", "GC")) == row[d - 1]
 
 
+# exact_max_size pinned before the branch and bound moved onto the
+# orbit-distance matrix: (n, ell, ops) -> {g: maxima for d = 1..n}.  Without
+# "GC" the seed set ignores g and only g = n // 2 is recorded.
+EXACT_PINS = {
+    (2, 1, ""): {1: (12, 4)},
+    (2, 1, "r"): {1: (12, 4)},
+    (2, 1, "rc"): {1: (12, 4)},
+    (2, 1, "c"): {1: (12, 4)},
+    (2, 1, "GC"): {0: (2, 2), 1: (8, 4), 2: (2, 2)},
+    (2, 1, "r,rc"): {1: (12, 4)},
+    (2, 1, "r,c"): {1: (12, 4)},
+    (2, 1, "r,GC"): {0: (2, 2), 1: (8, 4), 2: (2, 2)},
+    (2, 1, "rc,c"): {1: (12, 4)},
+    (2, 1, "rc,GC"): {0: (2, 2), 1: (8, 4), 2: (2, 2)},
+    (2, 1, "c,GC"): {0: (2, 2), 1: (8, 4), 2: (2, 2)},
+    (2, 1, "r,rc,c"): {1: (12, 4)},
+    (2, 1, "r,rc,GC"): {0: (2, 2), 1: (8, 4), 2: (2, 2)},
+    (2, 1, "r,c,GC"): {0: (2, 2), 1: (8, 4), 2: (2, 2)},
+    (2, 1, "rc,c,GC"): {0: (2, 2), 1: (8, 4), 2: (2, 2)},
+    (2, 1, "r,rc,c,GC"): {0: (2, 2), 1: (8, 4), 2: (2, 2)},
+    (3, 1, ""): {1: (36, 12, 4)},
+    (3, 1, "r"): {1: (36, 12, 4)},
+    (3, 1, "rc"): {1: (36, 12, 4)},
+    (3, 1, "c"): {1: (36, 12, 4)},
+    (3, 1, "GC"): {0: (2, 2, 2), 1: (16, 8, 3), 2: (16, 8, 3), 3: (2, 2, 2)},
+    (3, 1, "r,rc"): {1: (36, 12, 4)},
+    (3, 1, "r,c"): {1: (36, 12, 4)},
+    (3, 1, "r,GC"): {0: (2, 2, 2), 1: (16, 8, 2), 2: (16, 8, 2), 3: (2, 2, 2)},
+    (3, 1, "rc,c"): {1: (36, 12, 4)},
+    (3, 1, "rc,GC"): {0: (2, 2, 2), 1: (16, 6, 2), 2: (16, 6, 2), 3: (2, 2, 2)},
+    (3, 1, "c,GC"): {0: (2, 2, 2), 1: (16, 6, 2), 2: (16, 6, 2), 3: (2, 2, 2)},
+    (3, 1, "r,rc,c"): {1: (36, 12, 4)},
+    (3, 1, "r,rc,GC"): {0: (2, 2, 2), 1: (16, 6, 2), 2: (16, 6, 2), 3: (2, 2, 2)},
+    (3, 1, "r,c,GC"): {0: (2, 2, 2), 1: (16, 6, 2), 2: (16, 6, 2), 3: (2, 2, 2)},
+    (3, 1, "rc,c,GC"): {0: (2, 2, 2), 1: (16, 6, 2), 2: (16, 6, 2), 3: (2, 2, 2)},
+    (3, 1, "r,rc,c,GC"): {0: (2, 2, 2), 1: (16, 6, 2), 2: (16, 6, 2), 3: (2, 2, 2)},
+    (4, 1, ""): {2: (108, 36, 12, 4)},
+    (4, 1, "r"): {2: (108, 36, 12, 4)},
+    (4, 1, "rc"): {2: (108, 36, 12, 4)},
+    (4, 1, "c"): {2: (108, 36, 12, 4)},
+    (4, 1, "GC"): {0: (2, 2, 2, 2), 1: (24, 12, 4, 2), 2: (56, 32, 12, 4), 3: (24, 12, 4, 2), 4: (2, 2, 2, 2)},
+    (4, 1, "r,rc"): {2: (108, 36, 12, 4)},
+    (4, 1, "r,c"): {2: (108, 36, 12, 4)},
+    (4, 1, "r,GC"): {0: (2, 2, 2, 2), 1: (24, 12, 2, 2), 2: (56, 32, 12, 4), 3: (24, 12, 2, 2), 4: (2, 2, 2, 2)},
+    (4, 1, "rc,c"): {2: (108, 36, 12, 4)},
+    (4, 1, "rc,GC"): {0: (2, 2, 2, 2), 1: (24, 12, 2, 2), 2: (56, 32, 12, 4), 3: (24, 12, 2, 2), 4: (2, 2, 2, 2)},
+    (4, 1, "c,GC"): {0: (2, 2, 2, 2), 1: (24, 12, 4, 2), 2: (56, 32, 12, 4), 3: (24, 12, 4, 2), 4: (2, 2, 2, 2)},
+    (4, 1, "r,rc,c"): {2: (108, 36, 12, 4)},
+    (4, 1, "r,rc,GC"): {0: (2, 2, 2, 2), 1: (24, 12, 0, 0), 2: (56, 32, 12, 4), 3: (24, 12, 0, 0), 4: (2, 2, 2, 2)},
+    (4, 1, "r,c,GC"): {0: (2, 2, 2, 2), 1: (24, 12, 0, 0), 2: (56, 32, 12, 4), 3: (24, 12, 0, 0), 4: (2, 2, 2, 2)},
+    (4, 1, "rc,c,GC"): {0: (2, 2, 2, 2), 1: (24, 12, 0, 0), 2: (56, 32, 12, 4), 3: (24, 12, 0, 0), 4: (2, 2, 2, 2)},
+    (4, 1, "r,rc,c,GC"): {0: (2, 2, 2, 2), 1: (24, 12, 0, 0), 2: (56, 32, 12, 4), 3: (24, 12, 0, 0), 4: (2, 2, 2, 2)},
+    (4, 2, ""): {2: (96, 36, 12, 4)},
+    (4, 2, "r"): {2: (96, 36, 12, 4)},
+    (4, 2, "rc"): {2: (96, 36, 12, 4)},
+    (4, 2, "c"): {2: (96, 36, 12, 4)},
+    (4, 2, "GC"): {0: (0, 0, 0, 0), 1: (24, 12, 4, 2), 2: (48, 32, 12, 4), 3: (24, 12, 4, 2), 4: (0, 0, 0, 0)},
+    (4, 2, "r,rc"): {2: (96, 36, 12, 4)},
+    (4, 2, "r,c"): {2: (96, 36, 12, 4)},
+    (4, 2, "r,GC"): {0: (0, 0, 0, 0), 1: (24, 12, 2, 2), 2: (48, 32, 12, 4), 3: (24, 12, 2, 2), 4: (0, 0, 0, 0)},
+    (4, 2, "rc,c"): {2: (96, 36, 12, 4)},
+    (4, 2, "rc,GC"): {0: (0, 0, 0, 0), 1: (24, 12, 2, 2), 2: (48, 32, 12, 4), 3: (24, 12, 2, 2), 4: (0, 0, 0, 0)},
+    (4, 2, "c,GC"): {0: (0, 0, 0, 0), 1: (24, 12, 4, 2), 2: (48, 32, 12, 4), 3: (24, 12, 4, 2), 4: (0, 0, 0, 0)},
+    (4, 2, "r,rc,c"): {2: (96, 36, 12, 4)},
+    (4, 2, "r,rc,GC"): {0: (0, 0, 0, 0), 1: (24, 12, 0, 0), 2: (48, 32, 12, 4), 3: (24, 12, 0, 0), 4: (0, 0, 0, 0)},
+    (4, 2, "r,c,GC"): {0: (0, 0, 0, 0), 1: (24, 12, 0, 0), 2: (48, 32, 12, 4), 3: (24, 12, 0, 0), 4: (0, 0, 0, 0)},
+    (4, 2, "rc,c,GC"): {0: (0, 0, 0, 0), 1: (24, 12, 0, 0), 2: (48, 32, 12, 4), 3: (24, 12, 0, 0), 4: (0, 0, 0, 0)},
+    (4, 2, "r,rc,c,GC"): {0: (0, 0, 0, 0), 1: (24, 12, 0, 0), 2: (48, 32, 12, 4), 3: (24, 12, 0, 0), 4: (0, 0, 0, 0)},
+    (5, 2, "r,c,GC"): {2: (108, 60, 14, 4, 2)},
+    (6, 3, "r,c,GC"): {3: (320, 168, 44, 20, 4, 4)},
+}
+
+
+def test_exact_max_size_pinned():
+    for (n, ell, ops), per_g in EXACT_PINS.items():
+        for g, want in per_g.items():
+            got = tuple(exact_max_size(n, ell, g, d, ops.split(",") if ops else ()) for d in range(1, n + 1))
+            assert got == want, (n, ell, g, ops)
+
+
 def test_exact_refuses_large_instances():
     with pytest.raises(InstanceTooLargeError):
         exact_max_size(8, 4, 4, 4, ("r", "c", "GC"))
