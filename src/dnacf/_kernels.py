@@ -25,15 +25,17 @@ _M64 = (1 << 64) - 1
 #: seed sets up to n = 12 (21,064 orbits) and refuses n = 13 (48,858).
 DIST_MEMORY_LIMIT = 512 << 20
 
+#: largest string space, 4**n, that :func:`enumerate_seed_values` will scan.
+#: The scan visits every string, about 0.3 s at n = 12 and 4x more per extra
+#: base, so n = 16 takes minutes; the int64 packing also breaks past n = 31.
+SEED_SPACE_LIMIT = 4 ** 16
+
 # subset-cardinality laws for the random construction
 LAW_UNIFORM = 0
 LAW_DYADIC = 1
 LAW_MIXED = 2
 LAW_FULL = 3
 LAW_CODES = {"uniform": LAW_UNIFORM, "dyadic": LAW_DYADIC, "mixed": LAW_MIXED, "full": LAW_FULL}
-
-# reverse-complement of every packed 3-mer
-RC3 = tuple(63 - (((d & 3) << 4) | (d & 12) | (d >> 4)) for d in range(64))
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -78,38 +80,18 @@ def _draw_size(state: int, law: int, n_seed: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# packed single-string predicates
-# ---------------------------------------------------------------------------
-
-def conflict_free_packed(v: int, n: int, ell: int) -> bool:
-    # adjacent t-blocks at every offset, t = 1..ell
-    for t in range(1, ell + 1):
-        bm = (1 << (2 * t)) - 1
-        for p in range(n - 2 * t + 1):
-            if (v >> (2 * (n - p - t))) & bm == (v >> (2 * (n - p - 2 * t))) & bm:
-                return False
-    return True
-
-
-def rc_free_packed(v: int, n: int) -> bool:
-    # no 3-mer may occur together with its reverse-complement
-    seen = 0
-    for p in range(n - 2):
-        seen |= 1 << ((v >> (2 * (n - p - 3))) & 63)
-    for w in range(64):
-        if (seen >> w) & 1 == 1 and (seen >> RC3[w]) & 1 == 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # array kernels
 # ---------------------------------------------------------------------------
 
 def enumerate_seed_values(n, ell, g):
     """Packed values of every length-n string with GC content g that is ell
-    conflict free, ascending."""
+    conflict free, ascending.  Refuses a space larger than
+    :data:`SEED_SPACE_LIMIT` before any work."""
     total = 1 << (2 * n)
+    if total > SEED_SPACE_LIMIT:
+        raise InstanceTooLargeError(
+            f"seed enumeration at n={n} would scan 4**{n} strings (limit {SEED_SPACE_LIMIT})"
+        )
     low_mask = LOW_BITS & ((1 << (2 * n)) - 1)
     parts = []
     for lo in range(0, total, 1 << 20):

@@ -104,30 +104,7 @@ def gf2_rank(mat: np.ndarray) -> int:
 
 def gf2_contains(generator: np.ndarray, word: np.ndarray) -> bool:
     """Membership of ``word`` in the row space of ``generator``."""
-    g = (np.asarray(generator, dtype=np.uint8) % 2).copy()
-    w = (np.asarray(word, dtype=np.uint8) % 2).copy()
-    rank = 0
-    for c in range(g.shape[1]):
-        piv = None
-        for r in range(rank, g.shape[0]):
-            if g[r, c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        g[[rank, piv]] = g[[piv, rank]]
-        for r in range(g.shape[0]):
-            if r != rank and g[r, c]:
-                g[r] ^= g[rank]
-        rank += 1
-    # reduce the word against the echelon basis
-    row = 0
-    for c in range(g.shape[1]):
-        if row < rank and g[row, c]:
-            if w[c]:
-                w ^= g[row]
-            row += 1
-    return not w.any()
+    return gf2_rank(np.vstack([generator, word])) == gf2_rank(generator)
 
 
 def enumerate_codewords(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> list[str]:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__, bincodes, factory, isomap, reference, search
 from .constraints import DnaCode, verify_code
+from .core import clean
 
 
 def _out_path(name: str | None) -> Path | None:
@@ -62,8 +63,6 @@ def read_code_file(path: str) -> list[str]:
         if not line or line.startswith("#"):
             continue
         try:
-            from .core import clean
-
             words.append(clean(line))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
@@ -173,7 +172,7 @@ def cmd_encode(args) -> int:
     require = () if args.allow_partial else ("conflict", "gc_balanced")
     try:
         dna, report = factory.build_dna_code(code, pair, h0=args.h0, require=require)
-    except factory.BuildRefusedError as exc:
+    except (factory.BuildRefusedError, factory.BuildFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     manifest = _manifest(args)

@@ -23,34 +23,27 @@ def is_conflict_free(s: str, ell: int) -> bool:
     n = len(s)
     if not 1 <= ell <= n // 2:
         raise ValueError(f"ell={ell} out of range for length {n} (1..{n // 2})")
-    if n <= 31:
-        return _kernels.conflict_free_packed(core.pack(s), n, ell)
-    return _conflict_scan(s, ell)
+    return _conflict_level(s, ell) == ell
 
 
-def _conflict_scan(s: str, ell: int) -> bool:
+def _conflict_level(s: str, top: int) -> int:
+    # one ascending pass: the first block length t with a repeat caps the level
     n = len(s)
-    for t in range(1, ell + 1):
+    for t in range(1, top + 1):
         for p in range(n - 2 * t + 1):
             if s[p:p + t] == s[p + t:p + 2 * t]:
-                return False
-    return True
+                return t - 1
+    return top
 
 
 def is_complete_conflict_free(s: str) -> bool:
     """Conflict free at every block length up to floor(n/2); true for n = 1."""
-    n = len(s)
-    if n // 2 == 0:
-        return True
-    return is_conflict_free(s, n // 2)
+    return conflict_free_level(s) == len(s) // 2
 
 
 def conflict_free_level(s: str) -> int:
     """Largest ell for which the string is ell conflict free (0 if none)."""
-    for ell in range(len(s) // 2, 0, -1):
-        if is_conflict_free(s, ell):
-            return ell
-    return 0
+    return _conflict_level(s, len(s) // 2)
 
 
 def is_rc_substring_free(s: str) -> bool:
@@ -60,12 +53,7 @@ def is_rc_substring_free(s: str) -> bool:
     Any reverse-complement substring pair of length k > 3 contains a length-3
     pair, so checking 3-mers covers all stem lengths above 2.
     """
-    n = len(s)
-    if n < 3:
-        return True
-    if n <= 31:
-        return _kernels.rc_free_packed(core.pack(s), n)
-    seen = {s[p:p + 3] for p in range(n - 2)}
+    seen = {s[p:p + 3] for p in range(len(s) - 2)}
     return not any(core.reverse_complement(w) in seen for w in seen)
 
 

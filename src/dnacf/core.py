@@ -115,10 +115,6 @@ def gc_content_packed(v: int, n: int) -> int:
 # code-array representation for strings too long to pack (one byte per base)
 # ---------------------------------------------------------------------------
 
-def to_codes(s: str) -> np.ndarray:
-    return np.array([_CODE_OF[ch] for ch in s], dtype=np.uint8)
-
-
 def codes_matrix(words: Sequence[str]) -> np.ndarray:
     """Stack equal-length strings into an (M, n) uint8 matrix of base codes."""
     if not words:

@@ -4,7 +4,7 @@ check every predicted property against measurement.
 Predictions are computed from sound rules only, so a finished build's report
 never over-claims: the encoded minimum distance comes from the binary
 support-gap distance (an exact isometry), the complement check from the exact
-max-distance rule or unit-vector closure, and the reverse/conflict/hairpin
+prefix-parity rule or unit-vector closure, and the reverse/conflict/hairpin
 checks from the corresponding pair flags.
 """
 
@@ -22,8 +22,8 @@ from .isomap import (
     TransitionMap,
     encode,
     encoded_gc_content,
-    max_binary_distance,
     min_binary_distance,
+    min_complement_distance,
     validate_pair,
 )
 
@@ -152,7 +152,7 @@ def build_dna_code(
         check("hairpin_free", True, measured.hairpin_free, measured.hairpin_free)
     if flags.reverse_safe and n_bits % 2 == 0:
         check("reverse", True, measured.reverse_ok, measured.reverse_ok)
-    complement_pred = _complement_predicted(code, words, n_bits, ell, d_pred)
+    complement_pred = _complement_predicted(code, words, ell, d_pred)
     if complement_pred:
         check("complement", True, measured.complement_ok, measured.complement_ok)
         if flags.reverse_safe and n_bits % 2 == 0:
@@ -168,31 +168,15 @@ def build_dna_code(
     return dna, report
 
 
-def _complement_predicted(code, words, n_bits, ell, d_pred) -> bool:
+def _complement_predicted(code, words, ell, d_pred) -> bool:
     # closure rule: flipping the leading bit complements the encoding, so a
     # linear code containing e1 yields a complement-closed DNA code
     if code.generator is not None and contains_unit_vector_e1(code):
         return True
     if d_pred is None:
         return False
-    # exact rule: d(u, v^c) = n*ell - d(u, v), minimized at the largest
-    # sub-complement pair distance
-    d_max = max_binary_distance(words, ell)
-    total = n_bits * ell
-    if d_max == total:  # complement pairs themselves are skipped by the check
-        rest = [d for d in _pair_distances_below(words, ell, total)]
-        d_max = max(rest) if rest else 0
-    return total - d_max >= d_pred
-
-
-def _pair_distances_below(words, ell, total):
-    from .isomap import binary_distance
-
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            d = binary_distance(words[i], words[j], ell)
-            if d < total:
-                yield d
+    # exact rule: the encoded code's complement distance, from the binary words
+    return min_complement_distance(words, ell) >= d_pred
 
 
 def reed_muller_dna(

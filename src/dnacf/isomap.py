@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import core
+from . import _kernels, core
 from .constraints import is_conflict_free, is_complete_conflict_free, is_rc_substring_free
 
 BLOCK_NAMES = ("x", "xc", "y", "yc")
@@ -107,10 +107,6 @@ class TransitionMap:
         return "x" if self.start in (b["x"], b["xc"]) else "y"
 
 
-def transition(tmap: TransitionMap, prev: str, bit: int) -> str:
-    return tmap.transition(prev, bit)
-
-
 def encode(a: str | Sequence[int], tmap: TransitionMap) -> str:
     """Encode a binary string into a DNA string of length n*ell."""
     bits = _bits(a)
@@ -153,48 +149,31 @@ def binary_distance(a: str | Sequence[int], b: str | Sequence[int], ell: int) ->
     return ell * gaps
 
 
-def _gap_sums(diff: np.ndarray) -> np.ndarray:
-    # gap sum == number of positions whose prefix flip-parity is odd
-    return (np.cumsum(diff, axis=-1) % 2).sum(axis=-1)
+def _prefix_parity(words: Sequence[str | Sequence[int]]) -> np.ndarray:
+    """One uint8 row per word: bit i is the parity of the word's first i + 1
+    bits.  The support-gap distance of two words is ell times the Hamming
+    distance of their rows, because the gap sum counts the positions whose
+    prefix parity differs."""
+    mat = np.array([_bits(w) for w in words], dtype=np.uint8)
+    return np.bitwise_xor.accumulate(mat, axis=1)
 
 
 def min_binary_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
     """Minimum of :func:`binary_distance` over all distinct pairs."""
     if len(words) < 2:
         raise ValueError("need at least two codewords")
-    mat = np.array([_bits(w) for w in words], dtype=np.uint8)
-    best = None
-    step = max(1, (1 << 22) // max(1, mat.shape[0] * mat.shape[1]))
-    m = mat.shape[0]
-    cols = np.arange(m)[None, :]
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        diff = mat[lo:hi, None, :] ^ mat[None, :, :]
-        g = _gap_sums(diff)
-        iu = np.arange(lo, hi)[:, None] < cols
-        if iu.any():
-            cand = int(g[iu].min())
-            best = cand if best is None else min(best, cand)
-    return ell * best
+    return ell * int(_kernels.min_pairwise_u8(_prefix_parity(words)))
 
 
-def max_binary_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
-    """Maximum of :func:`binary_distance` over all distinct pairs."""
-    if len(words) < 2:
-        raise ValueError("need at least two codewords")
-    mat = np.array([_bits(w) for w in words], dtype=np.uint8)
-    best = 0
-    m = mat.shape[0]
-    step = max(1, (1 << 22) // max(1, m * mat.shape[1]))
-    cols = np.arange(m)[None, :]
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        diff = mat[lo:hi, None, :] ^ mat[None, :, :]
-        g = _gap_sums(diff)
-        iu = np.arange(lo, hi)[:, None] < cols
-        if iu.any():
-            best = max(best, int(g[iu].max()))
-    return ell * best
+def min_complement_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
+    """Minimum distance from one word's encoding to the complement of
+    another's (or its own), skipping pairs where the two are equal.
+
+    The complement of v's encoding encodes v with its leading bit flipped,
+    whose prefix parity is 1 - P(v); the kernel skips distance 0 as well.
+    """
+    parity = _prefix_parity(words)
+    return ell * int(_kernels.min_cross_u8(parity, 1 - parity))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dnacf.bincodes import (
     CodeTooLargeError,
     contains_unit_vector_e1,
     enumerate_codewords,
+    gf2_contains,
     gf2_rank,
     golay_23_12,
     hamming_7_4,
@@ -81,6 +82,14 @@ def test_contains_unit_vector():
     assert contains_unit_vector_e1(full3)
     assert contains_unit_vector_e1(reed_muller_code(3, 3))
     assert not contains_unit_vector_e1(reed_muller_code(1, 3))
+    # row-space membership against the enumerated codeword set
+    rm13 = reed_muller_code(1, 3)
+    members = set(enumerate_codewords(rm13))
+    assert len(members) == 16
+    for i in range(256):
+        word = f"{i:08b}"
+        vec = np.array([int(c) for c in word], dtype=np.uint8)
+        assert gf2_contains(rm13.generator, vec) == (word in members)
 
 
 def test_published_rm_row_is_inconsistent():

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from dnacf import _kernels, reference
 from dnacf.cli import main, read_code_file
@@ -193,3 +196,44 @@ def test_search_distance_matrix_limit(monkeypatch, capsys):
     code, _, err = run(capsys, "search", "--n", "4", "--ell", "2", "--gc", "2", "--trials", "10")
     assert code == 2
     assert "MiB" in err
+
+
+def test_encode_failed_claim_exits_1(capsys):
+    # the pair's hairpin flag holds, but its encodings are not hairpin free
+    code, out, err = run(capsys, "encode", "--code", "hamming74", "--ell", "3",
+                         "--pair", "ACT,CTG", "--allow-partial")
+    assert code == 1
+    assert "hairpin_free" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", [40, 17])
+def test_seeds_refuses_large_space(n, capsys):
+    code, _, err = run(capsys, "seeds", "--n", str(n), "--ell", "1", "--gc", str(n // 2))
+    assert code == 2
+    assert f"4**{n}" in err
+
+
+# sha256 of stdout, recorded before the binary-side scans moved onto the
+# prefix-parity kernels; any change here is a change of CLI output
+GOLDEN_STDOUT = {
+    ("encode", "--code", "hamming74", "--ell", "3", "--pair", "ATA,CGC"):
+        "f1ba90b1cc3dbb3048bd8695119317b5c278d6a1aab618d7b0f3097cfcc59c59",
+    ("encode", "--code", "rm,1,5", "--ell", "4", "--h0", "yc"):
+        "d37684fd6c0623b68fc7d2c0ba0137c9189141caddbbe66aa0ac5b9840fdeec5",
+    ("encode", "--code", "rm,2,4", "--ell", "4"):
+        "93207e155583819cad868937ca6df58eefbc4924f980f3c4ffa8902b76d6cb26",
+    ("encode", "--code", "repetition5", "--ell", "3"):
+        "bef08a675c3512131955b49fea8343b3e20db44513acf659e1a411f3ca734511",
+    ("tables", "--which", "params"):
+        "3a8737ab4c3a762f1851b7b5483fd5906afb263233c498c497a024afbcc3af09",
+    ("tables", "--which", "pairs"):
+        "5488a991fbfe75019d023d52d71d0717fde5463a8436de61df2df23aafb2dc34",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_golden_stdout(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

@@ -16,7 +16,7 @@ from dnacf.constraints import (
     verify_code,
 )
 
-dna = st.text(alphabet="ACGT", min_size=2, max_size=20)
+dna = st.text(alphabet="ACGT", min_size=2, max_size=80)
 
 
 def oracle_conflict_free(s, ell):
@@ -25,6 +25,10 @@ def oracle_conflict_free(s, ell):
             if s[p:p + t] == s[p + t:p + 2 * t]:
                 return False
     return True
+
+
+def oracle_level(s):
+    return max((ell for ell in range(1, len(s) // 2 + 1) if oracle_conflict_free(s, ell)), default=0)
 
 
 def oracle_rc_free(s):
@@ -76,6 +80,19 @@ def test_oracle_agreement_random(s):
     assert is_rc_substring_free(s) == oracle_rc_free(s)
     for ell in range(1, len(s) // 2 + 1):
         assert is_conflict_free(s, ell) == oracle_conflict_free(s, ell)
+    assert conflict_free_level(s) == oracle_level(s)
+    assert is_complete_conflict_free(s) == (oracle_level(s) == len(s) // 2)
+
+
+@given(st.text(alphabet="01", min_size=1, max_size=30))
+def test_oracle_agreement_encoded(bits):
+    # encodings through a conflict-safe pair reach level 2*ell - 1, so random
+    # strings alone would rarely test the deep levels of long words
+    from dnacf.isomap import TransitionMap, default_pair, encode
+
+    s = encode(bits, TransitionMap.standard(default_pair(3)))
+    assert conflict_free_level(s) == oracle_level(s)
+    assert is_rc_substring_free(s) == oracle_rc_free(s)
 
 
 @given(dna.filter(lambda s: len(s) >= 4))

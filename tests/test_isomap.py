@@ -19,6 +19,7 @@ from dnacf.isomap import (
     half_distance_bounds,
     image_set,
     min_binary_distance,
+    min_complement_distance,
     pair_sigma,
     validate_pair,
 )
@@ -92,6 +93,51 @@ def test_min_binary_distance_examples():
     assert min_binary_distance(["00000", "11111"], 1) == 3
     with pytest.raises(ValueError):
         min_binary_distance(["0101"], 2)
+
+
+def _flip_lead(a):
+    return ("1" if a[0] == "0" else "0") + a[1:]
+
+
+def test_pair_scans_match_scalar_distance():
+    import random
+
+    rng = random.Random(2024)
+    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    for k in range(200):
+        n = rng.randint(1, 8)
+        ell = rng.randint(1, 4)
+        m = rng.randint(2, min(12, 1 << n))
+        words = rng.sample(sorted(all_bits(n)), m)
+        if k % 2 == 0 and _flip_lead(words[0]) not in words:
+            words[1] = _flip_lead(words[0])  # a pair differing only in the leading bit
+        dists = [binary_distance(a, b, ell) for i, a in enumerate(words) for b in words[i + 1:]]
+        assert min_binary_distance(words, ell) == min(dists)
+        comp = [binary_distance(a, _flip_lead(b), ell) for a in words for b in words]
+        assert min_complement_distance(words, ell) == min(d for d in comp if d > 0)
+        if ell == 3:  # the same minimum, measured on the encodings
+            enc = [encode(w, tm) for w in words]
+            dna = [core.hamming_distance(x, core.complement(y)) for x in enc for y in enc]
+            assert min_complement_distance(words, ell) == min(d for d in dna if d > 0)
+
+
+@pytest.mark.parametrize(
+    "name, ell, expected",
+    [("golay", 3, (12, 9)), ("rm15", 4, (32, 32)), ("hamming74", 3, (6, 3)), ("repetition5", 3, (9, 6))],
+)
+def test_pair_scans_pinned(name, ell, expected):
+    from dnacf.bincodes import (
+        enumerate_codewords, golay_23_12, hamming_7_4, reed_muller_code, repetition_code,
+    )
+
+    code = {
+        "golay": golay_23_12,
+        "rm15": lambda: reed_muller_code(1, 5),
+        "hamming74": hamming_7_4,
+        "repetition5": lambda: repetition_code(5),
+    }[name]()
+    words = enumerate_codewords(code)
+    assert (min_binary_distance(words, ell), min_complement_distance(words, ell)) == expected
 
 
 def test_isometry_exhaustive_small():
