@@ -1,9 +1,13 @@
 """Hot loops behind enumeration, distance scans, and the random search.
 
-Every kernel is NumPy-vectorized where the work is array shaped, and plain
-Python where it is a short scalar loop (the per-trial draws).  The search's
-distance work goes through one orbit-distance matrix (:func:`orbit_distances`);
-its size is capped by :data:`DIST_MEMORY_LIMIT`.
+Every kernel is NumPy-vectorized.  The random search draws the subsets of a
+whole batch of trials as array expressions over counter-based SplitMix64
+streams, at most :data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free
+partial Fisher-Yates; the scalar stream (:func:`replay_trial`) stays as the
+oracle that materializes witnesses.  The search's distance work goes through
+one orbit-distance matrix (:func:`orbit_distances`), built from member
+columns padded to the widest orbit; its size is capped by
+:data:`DIST_MEMORY_LIMIT`.
 
 Packed layout: two bits per base, leftmost base most significant, so packed
 values ascend in lexicographic string order.
@@ -19,6 +23,8 @@ from .core import LOW_BITS
 NUMBA_ENABLED = False
 
 _M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64 increment
+_TRIAL_GAMMA = 0xD1B54A32D192ED03  # spreads the trial streams
 
 #: largest orbit-distance matrix that :func:`orbit_distances` will allocate,
 #: in bytes (one byte per orbit pair).  512 MiB admits the (n, n/2, n/2)
@@ -29,6 +35,11 @@ DIST_MEMORY_LIMIT = 512 << 20
 #: The scan visits every string, about 0.3 s at n = 12 and 4x more per extra
 #: base, so n = 16 takes minutes; the int64 packing also breaks past n = 31.
 SEED_SPACE_LIMIT = 4 ** 16
+
+#: most Fisher-Yates draws that :func:`run_trials` makes as one batch of
+#: array expressions; a trial that draws more runs alone.  2**16 draws keep
+#: every batch array to about half a MB.
+DRAW_BATCH_LIMIT = 1 << 16
 
 # subset-cardinality laws for the random construction
 LAW_UNIFORM = 0
@@ -77,6 +88,45 @@ def _draw_size(state: int, law: int, n_seed: int) -> tuple[int, int]:
     hi = min(n_seed, (1 << (m + 1)) - 1)
     state, z2 = _next_u64(state)
     return state, lo + z2 % (hi - lo + 1)
+
+
+def _mix(x):
+    """SplitMix64 output function over a uint64 array (wraps mod 2**64)."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
+
+
+def _draws(state, count):
+    """The output of the ``count``-th :func:`_next_u64` call (1-based) on
+    every stream in ``state``."""
+    return _mix(state + np.asarray(count, dtype=np.uint64) * np.uint64(_GAMMA))
+
+
+def _dyadic_sizes(z1, z2, n_seed):
+    """The dyadic band of :func:`_draw_size`, from its two draws."""
+    m = z1 % n_seed.bit_length()
+    lo = np.left_shift(np.uint64(1), m)
+    hi = np.minimum(n_seed, np.left_shift(np.uint64(2), m) - 1)
+    return lo + z2 % (hi - lo + 1)
+
+
+def _draw_sizes(state, law, n_seed):
+    """:func:`_draw_size` for every stream in ``state``: the subset sizes, and
+    how many draws each size used."""
+    if law == LAW_FULL:
+        return np.full(state.shape, n_seed, dtype=np.int64), np.zeros(state.shape, dtype=np.int64)
+    z1 = _draws(state, 1)
+    if law == LAW_UNIFORM:
+        size, used = 1 + z1 % n_seed, 1
+    elif law == LAW_DYADIC:
+        size, used = _dyadic_sizes(z1, _draws(state, 2), n_seed), 2
+    else:
+        odd = (z1 & 1).astype(bool)
+        small = np.minimum(n_seed, 1 + (z1 >> 1) % 16)
+        size = np.where(odd, small, _dyadic_sizes(_draws(state, 2), _draws(state, 3), n_seed))
+        used = np.where(odd, 1, 3)
+    return size.astype(np.int64), np.broadcast_to(used, state.shape).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +202,11 @@ def orbit_distances(vals, orb_ptr, orb_members, n):
     ``D[a, b]`` is the smallest distance between a word of orbit a and a word
     of orbit b; ``D[a, a]`` is the smallest inside orbit a, and ``n + 1`` for a
     singleton.  The orbits come from maps that preserve distance when applied
-    to both words, so row a only scans the words against a's first member.
-    Refuses, before allocating, a matrix larger than :data:`DIST_MEMORY_LIMIT`.
+    to both words, so row a only measures a's first member against the
+    others.  Each orbit's member list is padded to the widest orbit by
+    repeating its last member, so ``D`` is the elementwise minimum over a few
+    member columns.  Refuses, before allocating, a matrix larger than
+    :data:`DIST_MEMORY_LIMIT`.
     """
     n_orb = orb_ptr.shape[0] - 1
     if n_orb * n_orb > DIST_MEMORY_LIMIT:
@@ -161,18 +214,32 @@ def orbit_distances(vals, orb_ptr, orb_members, n):
             f"{n_orb} orbits need a {n_orb * n_orb / (1 << 20):.0f} MiB distance matrix; "
             f"the limit is {DIST_MEMORY_LIMIT >> 20} MiB"
         )
-    words = vals[orb_members]
-    starts = orb_ptr[:-1]
-    reps = words[starts]
-    low_mask = LOW_BITS & ((1 << (2 * n)) - 1)
     dist = np.empty((n_orb, n_orb), dtype=np.uint8)
-    step = max(1, (1 << 20) // max(1, words.size))
+    if n_orb == 0:
+        return dist
+    sizes = np.diff(orb_ptr)
+    # slot[c, a]: member c of orbit a, the last member repeated past its size
+    slot = orb_members[orb_ptr[:-1] + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)]
+    wtype = np.uint32 if 2 * n <= 32 else np.int64
+    cols = vals.astype(wtype)[slot]
+    low_mask = wtype(LOW_BITS & ((1 << (2 * n)) - 1))
+
+    def hamming(x, y):
+        x = x ^ y
+        return np.bitwise_count((x | (x >> 1)) & low_mask)
+
+    step = max(1, (1 << 20) // n_orb)
     for lo in range(0, n_orb, step):
-        hi = min(lo + step, n_orb)
-        x = reps[lo:hi, None] ^ words[None, :]
-        d = np.bitwise_count((x | (x >> 1)) & low_mask)
-        d[np.arange(hi - lo), starts[lo:hi]] = n + 1  # a word against itself
-        dist[lo:hi] = np.minimum.reduceat(d, starts, axis=1)
+        reps = cols[0, lo:lo + step, None]
+        d = hamming(reps, cols[0])
+        for col in cols[1:]:
+            np.minimum(d, hamming(reps, col), out=d)
+        dist[lo:lo + step] = d
+    # the diagonal skips the representative's own slots, by index: distinct
+    # members may hold equal words
+    own = hamming(cols[0], cols[1:])
+    own[slot[1:] == slot[0]] = n + 1
+    np.fill_diagonal(dist, own.min(axis=0, initial=n + 1))
     return dist
 
 
@@ -192,46 +259,103 @@ def _closure_distance(dist, orbs, d_gate):
     return d_star
 
 
+def _trial_batches(trials, master_seed, law, n_seed):
+    """Yield ``(first trial, states, sizes, draws used)`` for runs of
+    consecutive trials that together make at most :data:`DRAW_BATCH_LIMIT`
+    Fisher-Yates draws; a trial that makes more runs alone."""
+    cap = DRAW_BATCH_LIMIT
+    base = np.uint64((master_seed * _GAMMA + 1) & _M64)
+    for lo in range(0, trials, cap):  # every trial draws at least one seed
+        t = np.arange(lo, min(lo + cap, trials), dtype=np.uint64)
+        state = base + t * np.uint64(_TRIAL_GAMMA)
+        size, used = _draw_sizes(state, law, n_seed)
+        ends = np.cumsum(size)
+        i = 0
+        while i < t.size:
+            stop = max(i + 1, int(np.searchsorted(ends, cap + (ends[i - 1] if i else 0), "right")))
+            yield lo + i, state[i:stop], size[i:stop], used[i:stop]
+            i = stop
+
+
+def _fisher_yates(state, size, used, n_seed):
+    """The first ``size[b]`` picks of a partial Fisher-Yates shuffle of
+    ``range(n_seed)`` for every trial b, concatenated in trial order.
+
+    Draw k of trial b targets ``j = k + z % (n_seed - k)`` and swaps slots k
+    and j.  Slot k keeps j unless an earlier draw of the trial also targeted
+    j; then it gets the value that the last such draw h carried into j.  That
+    value came from slot h, so it is found by following "last earlier draw
+    that targeted my own slot" back to a draw r whose slot nobody targeted
+    before it, and it is r's slot index.  No swap is made.
+    """
+    total = int(size.sum())
+    trial = np.repeat(np.arange(size.size), size)
+    k = np.arange(total) - np.repeat(np.cumsum(size) - size, size)
+    z = _draws(state[trial], used[trial] + k + 1)
+    j = k + (z % (n_seed - k).astype(np.uint64)).astype(np.int64)
+    # sorted by the key (trial, target, draw), the last earlier draw that
+    # targeted the same slot is the previous entry of the same group
+    span = int(size.max())
+    group = trial * n_seed + j
+    key = group * span + k
+    order = np.argsort(key)
+    key, group = key[order], group[order]
+    prev = np.full(total, -1)
+    same = group[1:] == group[:-1]
+    prev[order[1:][same]] = order[:-1][same]
+    # the last earlier draw that targeted my own slot k: one sorted lookup
+    own = (trial * n_seed + k) * span
+    pos = np.searchsorted(key, own + k) - 1
+    found = (pos >= 0) & (key[pos] >= own)
+    root = np.where(found, order[pos], np.arange(total))
+    while True:  # pointer jumping to the start of every chain
+        nxt = root[root]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    return np.where(prev < 0, j, k[root][prev])
+
+
 def run_trials(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
     """Run the random closure construction; return per-floor best sizes and
     the trial that first reached each, both indexed by distance 0..n.
 
     Each trial draws a subset size from the law and a partial Fisher-Yates
     subset of seeds, closes it under the orbits, and measures the closure's
-    minimum distance from :func:`orbit_distances`.  Closures that cannot
-    improve any bucket are not measured.  Every orbit must have two or more
-    members, as under r and c (the complement changes every base), so a
-    closure's distance never exceeds n.
+    minimum distance from :func:`orbit_distances`.  The draws and closures of
+    a batch of trials (:data:`DRAW_BATCH_LIMIT`) are NumPy array expressions
+    over the counter-based streams; only the size gate and the distance scan
+    run per trial, in trial order, so the result does not depend on the
+    batching.  Closures that cannot improve any bucket are not measured.
+    Every orbit must have two or more members, as under r and c (the
+    complement changes every base), so a closure's distance never exceeds n.
     """
     n_seed = vals.shape[0]
+    n_orb = orb_ptr.shape[0] - 1
     dist = orbit_distances(vals, orb_ptr, orb_members, n)
     orb_size = np.diff(orb_ptr)
-    pool = list(range(n_seed))
     best_size = [0] * (n + 1)
     best_trial = [-1] * (n + 1)
-    for t in range(trials):
-        state = _trial_state(master_seed, t)
-        state, r = _draw_size(state, law, n_seed)
-        swaps = []
-        for i in range(r):
-            state, z = _next_u64(state)
-            j = i + z % (n_seed - i)
-            swaps.append(j)
-            pool[i], pool[j] = pool[j], pool[i]
-        orbs = np.unique(orb_of[pool[:r]])
-        size_c = int(orb_size[orbs].sum())
-        # smallest bucket this closure could still improve
-        d_gate = next((d for d in range(1, n + 1) if best_size[d] < size_c), 0)
-        if d_gate:
-            d_star = _closure_distance(dist, orbs, d_gate)
-            if d_star >= d_gate:
-                for d in range(1, d_star + 1):
-                    if size_c > best_size[d]:
-                        best_size[d] = size_c
-                        best_trial[d] = t
-        for i in range(r - 1, -1, -1):
-            j = swaps[i]
-            pool[i], pool[j] = pool[j], pool[i]
+    for first, state, size, used in _trial_batches(trials, master_seed, law, n_seed):
+        picks = _fisher_yates(state, size, used, n_seed)
+        trial = np.repeat(np.arange(size.size), size)
+        # every trial's closure: its sorted orbits, and its size
+        closed = np.sort(trial * n_orb + orb_of[picks])
+        closed = closed[np.r_[True, closed[1:] != closed[:-1]]]
+        orbs = closed % n_orb
+        starts = np.searchsorted(closed, np.arange(size.size + 1) * n_orb)
+        sizes_c = np.add.reduceat(orb_size[orbs], starts[:-1]).tolist()
+        starts = starts.tolist()
+        for b, size_c in enumerate(sizes_c):
+            # smallest bucket this closure could still improve
+            d_gate = next((d for d in range(1, n + 1) if best_size[d] < size_c), 0)
+            if d_gate:
+                d_star = _closure_distance(dist, orbs[starts[b]:starts[b + 1]], d_gate)
+                if d_star >= d_gate:
+                    for d in range(1, d_star + 1):
+                        if size_c > best_size[d]:
+                            best_size[d] = size_c
+                            best_trial[d] = first + b
     return np.array(best_size, dtype=np.int64), np.array(best_trial, dtype=np.int64)
 
 

@@ -216,7 +216,6 @@ def _table_bounds(args) -> int:
         if n > args.n_max:
             continue
         spec = search.SeedSetSpec(n, ell, n // 2)
-        seeds = len(search.enumerate_seed_set(spec))
         table = search.random_construction(
             spec, search.SearchConfig(trials=args.trials, master_seed=args.seed, subset_law=args.law)
         )
@@ -224,7 +223,7 @@ def _table_bounds(args) -> int:
         for d in range(1, n + 1):
             want = row[d - 1]
             if d == 1:
-                got, prov = seeds, "seed"
+                got, prov = table.seed_set_size, "seed"
             elif d == n:
                 got, prov = search.extremal_size(n), "extremal"
             else:

@@ -12,7 +12,7 @@ from dnacf import _kernels, constraints, core, search
 
 # (n, law, master seed): (best_size, best_trial) for d = 1..n, at
 # (n, n // 2, n // 2) with TRIALS[n] trials
-TRIALS = {4: 2000, 5: 1000, 6: 600, 8: 150}
+TRIALS = {4: 2000, 5: 1000, 6: 600, 8: 150, 10: 400}
 TRIAL_PINS = {
     (4, "uniform", 1): ((48, 2), (28, 210), (10, 485), (4, 99)),
     (4, "uniform", 7): ((48, 3), (28, 632), (8, 482), (4, 20)),
@@ -62,6 +62,15 @@ TRIAL_PINS = {
     (8, "full", 1): ((2024, 0), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1)),
     (8, "full", 7): ((2024, 0), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1)),
     (8, "full", 12345): ((2024, 0), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1), (0, -1)),
+    (10, "mixed", 1): (
+        (13008, 67), (184, 286), (68, 122), (44, 253), (20, 251), (16, 263), (4, 33), (4, 33), (4, 33), (4, 33)
+    ),
+    (10, "mixed", 7): (
+        (13008, 89), (244, 63), (60, 310), (48, 94), (28, 297), (16, 143), (8, 139), (4, 104), (4, 104), (4, 104)
+    ),
+    (10, "mixed", 12345): (
+        (13008, 0), (232, 241), (64, 316), (44, 290), (32, 68), (16, 209), (8, 160), (8, 160), (4, 61), (4, 61)
+    ),
 }
 
 _STRING_MAPS = {"r": core.reverse, "c": core.complement, "rc": core.reverse_complement}
@@ -127,6 +136,16 @@ def test_orbit_distances_match_string_words():
         for i, j in itertools.product(range(len(words)), repeat=2):
             want = n + 1 if i == j else core.hamming_distance(words[i], words[j])
             assert dist[i, j] == want, (n, i, j)
+        # two-member orbits, some holding one word twice: the diagonal skips
+        # the representative by index, so a repeated word is at distance 0
+        for i in range(0, len(words), 6):
+            words[i + 1] = words[i]
+        dist = _kernels.orbit_distances(core.pack_all(words), ident[::2], ident[:-1], n)
+        for a, b in itertools.product(range(len(words) // 2), repeat=2):
+            want = min(core.hamming_distance(words[2 * a], words[y]) for y in (2 * b, 2 * b + 1) if y != 2 * a)
+            assert dist[a, b] == want, (n, a, b)
+    empty = np.empty(0, dtype=np.int64)
+    assert _kernels.orbit_distances(empty, np.zeros(1, dtype=np.int64), empty, 4).shape == (0, 0)
 
 
 def test_closure_distance_early_exit_keeps_the_verdict():
@@ -208,7 +227,55 @@ def test_run_trials_parity(law):
             words = core.unpack_all(vals[members], n)
             assert len(words) == size
             assert search.orbit_closure(words) == set(words)
-            assert _brute_min_pairwise(words) >= d, (n, seed, d)
+            if d == 1:  # distance >= 1 means distinct words
+                assert len(set(words)) == size, (n, seed)
+            else:
+                assert _brute_min_pairwise(words) >= d, (n, seed, d)
+
+
+def _scalar_picks(master_seed, trial, law, n_seed):
+    """One trial's subset, by the scalar SplitMix64 stream and swapping
+    Fisher-Yates that :func:`_kernels.replay_trial` uses."""
+    state = _kernels._trial_state(master_seed, trial)
+    state, r = _kernels._draw_size(state, law, n_seed)
+    pool = list(range(n_seed))
+    for i in range(r):
+        state, z = _kernels._next_u64(state)
+        j = i + z % (n_seed - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:r]
+
+
+@pytest.mark.parametrize("law", sorted(_kernels.LAW_CODES))
+@pytest.mark.parametrize("master_seed", [0, 1, (1 << 63) - 1])
+def test_batched_draws_match_scalar_stream(law, master_seed, monkeypatch):
+    # every trial's subset, in draw order, against the scalar oracle; a small
+    # cap splits chunks into many batches and leaves some trials alone
+    code = _kernels.LAW_CODES[law]
+    for n_seed, trials, cap in [(2, 3000, 1 << 16), (48, 3000, 40), (2024, 2000, 1 << 16)]:
+        monkeypatch.setattr(_kernels, "DRAW_BATCH_LIMIT", cap)
+        got = []
+        for first, state, size, used in _kernels._trial_batches(trials, master_seed, code, n_seed):
+            assert first == len(got) and (size.sum() <= cap or size.size == 1)
+            picks = _kernels._fisher_yates(state, size, used, n_seed).tolist()
+            ends = np.cumsum(size).tolist()
+            got += [picks[e - r:e] for e, r in zip(ends, size.tolist())]
+        assert len(got) == trials
+        for t in range(trials):
+            assert got[t] == _scalar_picks(master_seed, t, code, n_seed), (n_seed, t)
+
+
+@pytest.mark.parametrize("law", sorted(_kernels.LAW_CODES))
+def test_run_trials_ignores_batch_boundaries(law, monkeypatch):
+    code = _kernels.LAW_CODES[law]
+    for n, trials in [(4, 300), (6, 200), (8, 60)]:
+        vals = _kernels.enumerate_seed_values(n, n // 2, n // 2)
+        args = (vals, *search._orbit_partition(vals, n, ("r", "c")), n, trials, 7, code)
+        want = _kernels.run_trials(*args)
+        for cap in (1, 1 << 30):
+            monkeypatch.setattr(_kernels, "DRAW_BATCH_LIMIT", cap)
+            got = _kernels.run_trials(*args)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, cap)
 
 
 def test_min_pairwise_parity():
