@@ -220,15 +220,14 @@ def orbit_distances(vals, orb_ptr, orb_members, n):
     sizes = np.diff(orb_ptr)
     # slot[c, a]: member c of orbit a, the last member repeated past its size
     slot = orb_members[orb_ptr[:-1] + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)]
-    wtype = np.uint32 if 2 * n <= 32 else np.int64
-    cols = vals.astype(wtype)[slot]
-    low_mask = wtype(LOW_BITS & ((1 << (2 * n)) - 1))
+    cols = vals[slot]
+    low_mask = LOW_BITS & ((1 << (2 * n)) - 1)
 
     def hamming(x, y):
         x = x ^ y
         return np.bitwise_count((x | (x >> 1)) & low_mask)
 
-    step = max(1, (1 << 20) // n_orb)
+    step = max(1, (1 << 19) // n_orb)  # 4 MiB of int64 words per temporary
     for lo in range(0, n_orb, step):
         reps = cols[0, lo:lo + step, None]
         d = hamming(reps, cols[0])
