@@ -1,13 +1,14 @@
 """Hot loops behind enumeration, distance scans, and the random search.
 
-Every kernel is NumPy-vectorized.  The random search draws the subsets of a
-whole batch of trials as array expressions over counter-based SplitMix64
-streams, at most :data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free
-partial Fisher-Yates; the scalar stream (:func:`replay_trial`) stays as the
-oracle that materializes witnesses.  The search's distance work goes through
-one orbit-distance matrix (:func:`orbit_distances`), built from member
-columns padded to the widest orbit; its size is capped by
-:data:`DIST_MEMORY_LIMIT`.
+Every kernel is NumPy-vectorized.  Every code-level distance scan goes
+through one packed pair kernel, :func:`min_cross_u8`, capped by
+:data:`PAIR_WORK_LIMIT`.  The random search draws the subsets of a whole
+batch of trials as array expressions over counter-based SplitMix64 streams,
+at most :data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free partial
+Fisher-Yates; the scalar stream (:func:`replay_trial`) stays as the oracle
+that materializes witnesses.  The search's distance work goes through one
+orbit-distance matrix (:func:`orbit_distances`), built from member columns
+padded to the widest orbit; its size is capped by :data:`DIST_MEMORY_LIMIT`.
 
 Packed layout: two bits per base, leftmost base most significant, so packed
 values ascend in lexicographic string order.
@@ -30,6 +31,16 @@ _TRIAL_GAMMA = 0xD1B54A32D192ED03  # spreads the trial streams
 #: in bytes (one byte per orbit pair).  512 MiB admits the (n, n/2, n/2)
 #: seed sets up to n = 12 (21,064 orbits) and refuses n = 13 (48,858).
 DIST_MEMORY_LIMIT = 512 << 20
+
+#: largest scan, in row pairs times uint64 words per row, that
+#: :func:`min_cross_u8` will make.  It scans about 2.4e8 word pairs/s on rows
+#: of 192 words (5e8 on the Golay code's 3), on one core of a 2-core x86-64
+#: machine with NumPy 2.4, so the limit is about 18 s per scan.
+PAIR_WORK_LIMIT = 1 << 32
+
+#: row pairs per chunk of :func:`min_cross_u8`; its temporaries are uint64
+#: arrays of this many entries (1 MiB each)
+PAIR_CHUNK = 1 << 17
 
 #: largest string space, 4**n, that :func:`enumerate_seed_values` will scan.
 #: The scan visits every string, about 0.3 s at n = 12 and 4x more per extra
@@ -159,40 +170,56 @@ def enumerate_seed_values(n, ell, g):
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def min_pairwise_u8(mat):
-    """Minimum Hamming distance over the distinct row pairs of a uint8 matrix."""
+def _pack_rows(mat):
+    """Each row of values 0..3 as ``ceil(n / 32)`` uint64 words in the packed
+    layout, zero-padded on the right; word column w is ``out[w]``."""
     m, n = mat.shape
-    best = n + 1
-    step = max(1, (1 << 22) // max(1, m * n))
-    cols = np.arange(m)[None, :]
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        d = (mat[lo:hi, None, :] != mat[None, :, :]).sum(axis=2)
-        iu = np.arange(lo, hi)[:, None] < cols
-        if iu.any():
-            cand = int(d[iu].min())
-            if cand < best:
-                best = cand
-                if best == 1:
-                    return 1
-    return best
+    pad = np.zeros((m, -(-n // 32) * 32), dtype=np.uint8)
+    pad[:, :n] = mat
+    out = np.zeros((pad.shape[1] // 32, m), dtype=np.uint64)
+    for j in range(32):  # position j of every word
+        out |= pad[:, j::32].T.astype(np.uint64) << np.uint64(62 - 2 * j)
+    return out
 
 
-def min_cross_u8(a, b):
-    """Minimum of d(a_i, b_j) over all row pairs; identical rows are skipped."""
+def min_cross_u8(a, b=None):
+    """Minimum of d(a_i, b_j) over the row pairs of two uint8 matrices of
+    values 0..3, skipping identical rows; ``n + 1`` if no pair is left.
+    ``b=None`` means the pairs i < j of ``a``, whose rows must be distinct.
+
+    Packed rows (:func:`_pack_rows`) are compared a word column at a time, in
+    chunks of about :data:`PAIR_CHUNK` row pairs; with ``b=None`` the chunk
+    of rows lo..hi only meets rows lo onwards.  Refuses, before packing, a
+    scan of more than :data:`PAIR_WORK_LIMIT` word pairs.
+    """
     m, n = a.shape
+    mb = m if b is None else b.shape[0]
+    words = -(-n // 32)
+    if m * mb * words > PAIR_WORK_LIMIT:
+        raise InstanceTooLargeError(f"a {m} x {mb} row scan of {words} words per row "
+                                    f"exceeds the pair-work limit of {PAIR_WORK_LIMIT} word pairs")
     best = n + 1
-    step = max(1, (1 << 22) // max(1, b.shape[0] * n))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        d = (a[lo:hi, None, :] != b[None, :, :]).sum(axis=2)
-        pos = d[d > 0]
-        if pos.size:
-            cand = int(pos.min())
-            if cand < best:
-                best = cand
-                if best == 1:
-                    return 1
+    if mb == 0:
+        return best
+    pa = _pack_rows(a)
+    pb = pa if b is None else _pack_rows(b)
+    # the accumulator starts at its top value, so it holds d - 1 and an
+    # identical pair wraps round to the top, above every d - 1 <= n - 1
+    acc_type = np.min_scalar_type(n)  # uint8 up to n = 255, uint16 above
+    lo = 0
+    while lo < m:
+        first = lo if b is None else 0
+        hi = min(m, lo + max(1, PAIR_CHUNK // (mb - first)))
+        acc = np.full((hi - lo, mb - first), np.iinfo(acc_type).max, dtype=acc_type)
+        for wa, wb in zip(pa, pb):
+            x = wa[lo:hi, None] ^ wb[None, first:]
+            x |= x >> 1
+            x &= LOW_BITS
+            acc += np.bitwise_count(x)
+        best = min(best, int(acc.min()) + 1)
+        if best == 1:
+            break
+        lo = hi
     return best
 
 

@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernels
+
 # The sixteen words of the [7,4,3] Hamming code, kept as the published
 # listing so encoded tables reproduce row for row.
 HAMMING_7_4_WORDS = (
@@ -39,11 +41,19 @@ GOLAY_23_12_ROWS = (
     "00000000000101011100011",
 )
 
+#: largest code, in codewords times length (one byte each once enumerated),
+#: that will be enumerated: 16 MiB admits RM(1,11) and refuses RM(1,12).
 ENUMERATION_LIMIT = 1 << 24
 
 
 class CodeTooLargeError(RuntimeError):
     """Raised when full enumeration of a code would exceed the given limit."""
+
+
+def _check_enumerable(code: "BinaryCode", limit: int) -> None:
+    if code.size * code.n > limit:
+        raise CodeTooLargeError(f"{code.name}: {code.size} codewords of length {code.n} "
+                                f"exceed the enumeration limit of {limit} bits")
 
 
 @dataclass(frozen=True)
@@ -109,8 +119,7 @@ def gf2_contains(generator: np.ndarray, word: np.ndarray) -> bool:
 
 def enumerate_codewords(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> list[str]:
     """All codewords as 0/1 strings, lexicographically sorted."""
-    if code.size > limit:
-        raise CodeTooLargeError(f"{code.name}: {code.size} codewords exceeds limit {limit}")
+    _check_enumerable(code, limit)
     if code.words is not None:
         return sorted(code.words)
     k = code.generator.shape[0]
@@ -122,23 +131,17 @@ def enumerate_codewords(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> lis
 def measured_min_distance(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> int:
     """Minimum Hamming distance by full enumeration.
 
-    Linear codes reduce to minimum nonzero weight; explicit codes scan pairs.
+    Linear codes reduce to minimum nonzero weight; explicit codes scan pairs
+    with the packed pair kernel.
     """
     if code.generator is not None:
-        if code.size > limit:
-            raise CodeTooLargeError(f"{code.name}: {code.size} codewords exceeds limit {limit}")
+        _check_enumerable(code, limit)
         k = code.generator.shape[0]
         msgs = ((np.arange(1, 1 << k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
         words = msgs @ code.generator % 2
         return int(words.sum(axis=1).min())
-    words = enumerate_codewords(code, limit)
-    mat = np.array([[int(c) for c in w] for w in words], dtype=np.uint8)
-    best = code.n
-    for i in range(len(words)):
-        d = (mat[i + 1:] != mat[i]).sum(axis=1)
-        if d.size:
-            best = min(best, int(d.min()))
-    return best
+    mat = np.array([[int(c) for c in w] for w in enumerate_codewords(code, limit)], dtype=np.uint8)
+    return min(code.n, _kernels.min_cross_u8(mat))  # the words are distinct
 
 
 def contains_unit_vector_e1(code: BinaryCode) -> bool:
@@ -184,8 +187,13 @@ def reed_muller(r: int, m: int) -> np.ndarray:
 
 
 def reed_muller_code(r: int, m: int) -> BinaryCode:
+    """RM(r, m).  A generator above :data:`ENUMERATION_LIMIT` is refused
+    before it is built: the codeword list would be larger still."""
+    dim = sum(comb(m, i) for i in range(r + 1)) if 0 <= r <= m else 0
+    if dim and dim << m > ENUMERATION_LIMIT:  # dim is 0 only when (r, m) is invalid
+        raise CodeTooLargeError(f"rm({r},{m}): a generator of {dim} x {1 << m} bits "
+                                f"exceeds the enumeration limit of {ENUMERATION_LIMIT} bits")
     gen = reed_muller(r, m)
-    dim = sum(comb(m, i) for i in range(r + 1))
     assert gen.shape == (dim, 1 << m)
     return BinaryCode(name=f"rm({r},{m})", n=1 << m, generator=gen, declared_distance=1 << (m - r))
 

@@ -334,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, search.InstanceTooLargeError) as exc:
+    except (ValueError, OSError, search.InstanceTooLargeError,
+            bincodes.CodeTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
-import numpy as np
-
 from . import _kernels, core
 
 
@@ -127,18 +125,14 @@ def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> 
         code = DnaCode.from_iterable(code)
     n = code.n
     mat = core.codes_matrix(code.words)
-    if code.size >= 2:
-        min_h = int(_kernels.min_pairwise_u8(mat))
-    else:
-        min_h = n
+    min_h = min(n, _kernels.min_cross_u8(mat))  # rows are distinct; n + 1 for one row
     floor = claimed_d if claimed_d is not None else min_h
 
-    rev = np.ascontiguousarray(mat[:, ::-1])
-    comp = np.ascontiguousarray(3 - mat)
-    rc = np.ascontiguousarray(3 - rev)
-    reverse_ok = _cross_ok(mat, rev, floor)
-    rc_ok = _cross_ok(mat, rc, floor)
-    comp_ok = _cross_ok(mat, comp, floor)
+    # pairs at distance 0 (x equals the transform of y) are skipped
+    rev = mat[:, ::-1]
+    reverse_ok, rc_ok, comp_ok = (
+        _kernels.min_cross_u8(mat, t) >= floor for t in (rev, 3 - rev, 3 - mat)
+    )
 
     gcs = {core.gc_content(w) for w in code.words}
     gc_constant = gcs.pop() if len(gcs) == 1 else None
@@ -156,11 +150,6 @@ def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> 
         conflict_free_level=level,
         hairpin_free=hairpin,
     )
-
-
-def _cross_ok(mat: np.ndarray, transformed: np.ndarray, floor: int) -> bool:
-    d = int(_kernels.min_cross_u8(mat, transformed))
-    return d >= floor  # pairs at distance 0 (x equals the transform) skipped
 
 
 SPECIAL_KINDS = ("self_reverse", "self_rc", "gc_exact", "gc_and_self_rc", "gc_and_self_reverse")

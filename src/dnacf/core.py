@@ -17,6 +17,9 @@ ALPHABET = "ACGT"
 # A=0, C=1, G=2, T=3.  Complement A<->T, C<->G is XOR with 0b11 per base.
 _CODE_OF = {b: i for i, b in enumerate(ALPHABET)}
 _COMPLEMENT_TABLE = str.maketrans("ACGTacgt", "TGCATGCA")
+# ASCII byte -> base code, 255 for every byte that is not a base
+_CODE_LUT = np.full(256, 255, dtype=np.uint8)
+_CODE_LUT[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(4)
 
 #: low bit of every 2-bit group in a 64-bit word
 LOW_BITS = 0x5555555555555555
@@ -117,16 +120,17 @@ def gc_content_packed(v: int, n: int) -> int:
 
 def codes_matrix(words: Sequence[str]) -> np.ndarray:
     """Stack equal-length strings into an (M, n) uint8 matrix of base codes."""
-    if not words:
-        return np.empty((0, 0), dtype=np.uint8)
-    n = len(words[0])
-    mat = np.empty((len(words), n), dtype=np.uint8)
-    for i, w in enumerate(words):
+    n = len(words[0]) if words else 0
+    for w in words:
         if len(w) != n:
             raise ValueError(f"mixed lengths: {len(w)} vs {n}")
-        for j, ch in enumerate(w):
-            mat[i, j] = _CODE_OF[ch]
-    return mat
+    text = "".join(words)
+    # one byte per character: anything outside ASCII becomes "?", then 255
+    mat = _CODE_LUT[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    if (mat > 3).any():
+        i = int((mat > 3).argmax())
+        raise AlphabetError(f"invalid base {text[i]!r} in {words[i // n]!r}")
+    return mat.reshape(len(words), n)
 
 
 def matrix_to_strings(mat: np.ndarray) -> list[str]:

@@ -159,10 +159,14 @@ def _prefix_parity(words: Sequence[str | Sequence[int]]) -> np.ndarray:
 
 
 def min_binary_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
-    """Minimum of :func:`binary_distance` over all distinct pairs."""
+    """Minimum of :func:`binary_distance` over all pairs of entries; 0 when a
+    word repeats."""
     if len(words) < 2:
         raise ValueError("need at least two codewords")
-    return ell * int(_kernels.min_pairwise_u8(_prefix_parity(words)))
+    parity = _prefix_parity(words)
+    if len({row.tobytes() for row in parity}) < len(words):
+        return 0  # a repeated word; the kernel would skip the pair
+    return ell * int(_kernels.min_cross_u8(parity))
 
 
 def min_complement_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:

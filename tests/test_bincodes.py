@@ -74,6 +74,29 @@ def test_golay():
 def test_enumerate_limit():
     with pytest.raises(CodeTooLargeError):
         enumerate_codewords(golay_23_12(), limit=100)
+    # the limit counts codewords times length
+    golay = golay_23_12()
+    assert len(enumerate_codewords(golay, limit=4096 * 23)) == 4096
+    with pytest.raises(CodeTooLargeError):
+        enumerate_codewords(golay, limit=4096 * 23 - 1)
+    with pytest.raises(CodeTooLargeError):
+        measured_min_distance(golay, limit=4096 * 23 - 1)
+    with pytest.raises(CodeTooLargeError):
+        measured_min_distance(repetition_code(9), limit=2 * 9 - 1)
+
+
+def test_reed_muller_refused_before_building(monkeypatch):
+    import dnacf.bincodes as bincodes
+
+    def no_building(r, m):
+        raise AssertionError("built past the limit")
+
+    monkeypatch.setattr(bincodes, "reed_muller", no_building)
+    for r, m in [(1, 20), (1, 25), (2, 17)]:
+        with pytest.raises(CodeTooLargeError):
+            reed_muller_code(r, m)
+    with pytest.raises(AssertionError):  # generator under the limit: built
+        reed_muller_code(1, 19)
 
 
 def test_contains_unit_vector():

@@ -207,6 +207,26 @@ def test_encode_failed_claim_exits_1(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("code", ["rm,1,25", "rm,1,20", "rm,1,12"])
+def test_encode_refuses_oversized_codes(code, capsys):
+    # the first two are refused before their generators are built, the last
+    # before its codewords are enumerated
+    status, out, err = run(capsys, "encode", "--code", code, "--ell", "3")
+    assert status == 2
+    assert "enumeration limit" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_verify_refuses_oversized_pair_scan(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "code.txt"
+    f.write_text("ACGTAC\nTTGACA\nCAGTCA\n")
+    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 3 * 3 - 1)
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2
+    assert "pair-work limit" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("n", [40, 17])
 def test_seeds_refuses_large_space(n, capsys):
     code, _, err = run(capsys, "seeds", "--n", str(n), "--ell", "1", "--gc", str(n // 2))
@@ -229,6 +249,9 @@ GOLDEN_STDOUT = {
         "3a8737ab4c3a762f1851b7b5483fd5906afb263233c498c497a024afbcc3af09",
     ("tables", "--which", "pairs"):
         "5488a991fbfe75019d023d52d71d0717fde5463a8436de61df2df23aafb2dc34",
+    # recorded before the pair scans moved onto the packed kernel
+    ("encode", "--code", "golay23", "--ell", "3", "--pair", "ATA,CGC"):
+        "e135a81b12ee580fe44749924f5e8fef79c93cdf8891bfc0e7cd062aec55b373",
 }
 
 

@@ -107,3 +107,18 @@ def test_codes_matrix_roundtrip():
     assert core.matrix_to_strings(mat) == words
     with pytest.raises(ValueError):
         core.codes_matrix(["AC", "ACG"])
+    with pytest.raises(ValueError, match="mixed lengths"):
+        core.codes_matrix(["ACG", "A", "ACGTA"])  # the total length alone matches
+
+
+@pytest.mark.parametrize("bad", ["ACGa", "ACGN", "AC?T", "AC\u00e9T", "AC\U0001f600T", "AC T"])
+def test_codes_matrix_rejects_every_other_character(bad):
+    with pytest.raises(core.AlphabetError, match="invalid base"):
+        core.codes_matrix(["ACGT", bad])
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.text(alphabet="ACGT", min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_codes_matrix_matches_the_code_table(words):
+    mat = core.codes_matrix(words)
+    assert mat.tolist() == [["ACGT".index(ch) for ch in w] for w in words]

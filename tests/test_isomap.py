@@ -95,6 +95,12 @@ def test_min_binary_distance_examples():
         min_binary_distance(["0101"], 2)
 
 
+def test_min_binary_distance_of_a_repeated_word_is_zero():
+    assert min_binary_distance(["0110", "1011", "0110"], 3) == 0
+    assert min_binary_distance([[0, 1, 1], [0, 1, 1]], 2) == 0
+    assert min_binary_distance(["0110", "1011", "0111"], 3) == 3
+
+
 def _flip_lead(a):
     return ("1" if a[0] == "0" else "0") + a[1:]
 

@@ -278,15 +278,102 @@ def test_run_trials_ignores_batch_boundaries(law, monkeypatch):
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, cap)
 
 
+def _brute_min(a, b=None):
+    """The pair scan's answer by byte comparison of every row pair: over i < j
+    for ``b=None``, else over every pair at nonzero distance; n + 1 if none."""
+    d = (a[:, None, :] != (a if b is None else b)[None, :, :]).sum(axis=2)
+    d = d[np.triu_indices(len(a), 1)] if b is None else d[d > 0]
+    return int(d.min()) if d.size else a.shape[1] + 1
+
+
+def _distinct_rows(rng, m, n):
+    return np.unique(rng.integers(0, 4, size=(m, n), dtype=np.uint8), axis=0)
+
+
 def test_min_pairwise_parity():
-    # against a brute-force scan of every row pair
+    # b=None: the distinct row pairs, against a brute-force scan of every pair
     rng = np.random.default_rng(9)
     for m, n in [(2, 4), (10, 6), (40, 21), (100, 9)]:
-        mat = rng.integers(0, 4, size=(m, n), dtype=np.uint8)
+        mat = _distinct_rows(rng, m, n)
         brute = min(
-            int((mat[i] != mat[j]).sum()) for i in range(m) for j in range(i + 1, m)
+            int((mat[i] != mat[j]).sum()) for i in range(len(mat)) for j in range(i + 1, len(mat))
         )
-        assert int(_kernels.min_pairwise_u8(mat)) == brute
+        assert int(_kernels.min_cross_u8(mat)) == brute
+
+
+# word boundaries (32 positions per uint64 word) and accumulator boundaries
+# (uint8 up to n = 255, uint16 above)
+BOUNDARY_LENGTHS = (1, 31, 32, 33, 64, 65, 255, 256)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+def test_pair_scan_matches_brute_force_at_boundaries(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    monkeypatch.setattr(_kernels, "PAIR_CHUNK", 50)  # several chunks of rows
+    for m in (1, 2, 30):
+        mat = _distinct_rows(rng, m, n)
+        other = rng.integers(0, 4, size=(m + 3, n), dtype=np.uint8)
+        other[: len(mat) // 2] = mat[: len(mat) // 2]  # identical rows to skip
+        assert _kernels.min_cross_u8(mat) == _brute_min(mat)
+        assert _kernels.min_cross_u8(mat, other) == _brute_min(mat, other)
+        assert _kernels.min_cross_u8(other, mat) == _brute_min(other, mat)
+        # binary rows (prefix parities) use the same layout
+        assert _kernels.min_cross_u8(mat & 1, 1 - (mat & 1)) == _brute_min(mat & 1, 1 - (mat & 1))
+    # the extremes: every position differs (d = n), and no pair left (n + 1)
+    row = rng.integers(0, 4, size=(1, n), dtype=np.uint8)
+    assert _kernels.min_cross_u8(row, 3 - row) == n
+    assert _kernels.min_cross_u8(np.vstack([row, 3 - row])) == n
+    assert _kernels.min_cross_u8(row, np.vstack([row, row])) == n + 1
+    assert _kernels.min_cross_u8(row) == n + 1
+    assert _kernels.min_cross_u8(row, row[:0]) == n + 1
+
+
+def test_pair_scan_over_many_default_chunks():
+    # 700 x 700 pairs span several chunks of PAIR_CHUNK pairs in both modes
+    rng = np.random.default_rng(12)
+    mat = _distinct_rows(rng, 700, 9)
+    other = rng.integers(0, 4, size=(650, 9), dtype=np.uint8)
+    other[::7] = mat[:93]
+    assert len(mat) * len(other) > 3 * _kernels.PAIR_CHUNK
+    assert _kernels.min_cross_u8(mat) == _brute_min(mat)
+    assert _kernels.min_cross_u8(mat, other) == _brute_min(mat, other)
+
+
+@pytest.mark.parametrize("where", [0, 1, -2, -1])
+def test_pair_scan_finds_a_planted_distance_one_pair(where, monkeypatch):
+    # rows pairwise at distance >= 3 (a repetition code), one pair planted at
+    # distance 1 in the first chunk, early, late or in the last chunk
+    monkeypatch.setattr(_kernels, "PAIR_CHUNK", 64)
+    rng = np.random.default_rng(13)
+    base = _distinct_rows(rng, 200, 5)
+    mat = np.repeat(base, 3, axis=1)
+    assert _brute_min(mat) >= 3
+    i = np.arange(len(mat))[where]
+    j = (i + 1) % len(mat) if where >= 0 else i - 1
+    mat[j] = mat[i]
+    mat[j, 0] = (mat[i, 0] + 1) % 4
+    assert _brute_min(mat) == 1
+    assert _kernels.min_cross_u8(mat) == 1
+    assert _kernels.min_cross_u8(mat, mat[::-1].copy()) == 1
+    assert _kernels.min_cross_u8(mat[[i]], mat) == 1
+
+
+def test_pair_scan_refuses_before_packing(monkeypatch):
+    a = np.zeros((6, 40), dtype=np.uint8)  # two words per row
+    b = np.ones((5, 40), dtype=np.uint8)
+    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 5 * 2)
+    assert _kernels.min_cross_u8(a, b) == 40
+    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 5 * 2 - 1)
+
+    def no_packing(mat):
+        raise AssertionError("packed past the limit")
+
+    monkeypatch.setattr(_kernels, "_pack_rows", no_packing)
+    with pytest.raises(_kernels.InstanceTooLargeError):
+        _kernels.min_cross_u8(a, b)
+    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 6 * 2 - 1)
+    with pytest.raises(_kernels.InstanceTooLargeError):
+        _kernels.min_cross_u8(a)
 
 
 def test_min_cross_parity_and_skip_rule():
