@@ -252,6 +252,19 @@ GOLDEN_STDOUT = {
     # recorded before the pair scans moved onto the packed kernel
     ("encode", "--code", "golay23", "--ell", "3", "--pair", "ATA,CGC"):
         "e135a81b12ee580fe44749924f5e8fef79c93cdf8891bfc0e7cd062aec55b373",
+    # recorded before witnesses came straight from the trial loop
+    ("search", "--n", "8", "--ell", "4", "--gc", "4", "--trials", "2000", "--seed", "3"):
+        "2b835e97bc8d235ddc1a5577a9bf78c8bac53ada03147f2157897ebe5f2ee5b1",
+    ("search", "--n", "10", "--ell", "5", "--gc", "5", "--trials", "400", "--seed", "3"):
+        "a9d9ed4114860990c61ea0977eaaf0db614f9444f071b80fe3c9af68c491abfc",
+    ("search", "--n", "6", "--ell", "3", "--gc", "3", "--trials", "1000", "--seed", "7", "--law", "uniform"):
+        "535b5a93f01f1af195f7cb4540999c342345d247f9745b7ca4273ce337f7494e",
+    ("search", "--n", "5", "--ell", "2", "--gc", "2", "--trials", "1000", "--seed", "12345", "--law", "dyadic"):
+        "5556e3861aac3c699529855c092ecbca8a6c06e1ceb37ac5da7ece8cca661533",
+    ("seeds", "--n", "8", "--ell", "4", "--gc", "4"):
+        "b9769305d0942f5369b50caef12729109e2cc152e26047f3623e2fe03cb225fb",
+    ("tables", "--which", "bounds", "--trials", "2000", "--seed", "1"):
+        "6a7f4b09b01089c69334d10bb13ef76c2f5bca3c78b6cc8b2a58ecb409e01019",
 }
 
 
