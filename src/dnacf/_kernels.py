@@ -5,8 +5,8 @@ through one packed pair kernel, :func:`min_cross_u8`, capped by
 :data:`PAIR_WORK_LIMIT`.  The random search draws the subsets of a whole
 batch of trials as array expressions over counter-based SplitMix64 streams,
 at most :data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free partial
-Fisher-Yates; the scalar stream (:func:`replay_trial`) stays as the oracle
-that materializes witnesses.  The search's distance work goes through one
+Fisher-Yates; it hands back the closure behind each bucket, so witnesses need
+no second pass over the draws.  The search's distance work goes through one
 orbit-distance matrix (:func:`orbit_distances`), built from member columns
 padded to the widest orbit; its size is capped by :data:`DIST_MEMORY_LIMIT`.
 
@@ -66,40 +66,10 @@ class InstanceTooLargeError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # counter-based RNG: an independent SplitMix64 stream per (master_seed, trial),
-# so results do not depend on how trials are scheduled
+# so results do not depend on how trials are scheduled.  A trial's stream
+# starts at state (master_seed * GAMMA + trial * TRIAL_GAMMA + 1) mod 2**64,
+# and its k-th draw mixes state + k * GAMMA.
 # ---------------------------------------------------------------------------
-
-def _trial_state(master_seed: int, trial: int) -> int:
-    return (master_seed * 0x9E3779B97F4A7C15 + trial * 0xD1B54A32D192ED03 + 1) & _M64
-
-
-def _next_u64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _M64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return state, z ^ (z >> 31)
-
-
-def _draw_size(state: int, law: int, n_seed: int) -> tuple[int, int]:
-    if law == LAW_FULL:
-        return state, n_seed
-    if law == LAW_UNIFORM:
-        state, z = _next_u64(state)
-        return state, 1 + z % n_seed
-    if law == LAW_MIXED:
-        state, z = _next_u64(state)
-        if z & 1:
-            return state, min(n_seed, 1 + (z >> 1) % 16)
-    # dyadic band: pick a power-of-two size range, then uniform inside it
-    bits = n_seed.bit_length()
-    state, z1 = _next_u64(state)
-    m = z1 % bits
-    lo = 1 << m
-    hi = min(n_seed, (1 << (m + 1)) - 1)
-    state, z2 = _next_u64(state)
-    return state, lo + z2 % (hi - lo + 1)
-
 
 def _mix(x):
     """SplitMix64 output function over a uint64 array (wraps mod 2**64)."""
@@ -109,22 +79,25 @@ def _mix(x):
 
 
 def _draws(state, count):
-    """The output of the ``count``-th :func:`_next_u64` call (1-based) on
-    every stream in ``state``."""
+    """The ``count``-th draw (1-based) of every stream in ``state``."""
     return _mix(state + np.asarray(count, dtype=np.uint64) * np.uint64(_GAMMA))
 
 
 def _dyadic_sizes(z1, z2, n_seed):
-    """The dyadic band of :func:`_draw_size`, from its two draws."""
+    """A power-of-two size band ``[2**m, 2**(m+1))`` picked by the draw z1,
+    clipped to ``n_seed``, then a size uniform inside it picked by z2."""
     m = z1 % n_seed.bit_length()
     lo = np.left_shift(np.uint64(1), m)
     hi = np.minimum(n_seed, np.left_shift(np.uint64(2), m) - 1)
     return lo + z2 % (hi - lo + 1)
 
 
-def _draw_sizes(state, law, n_seed):
-    """:func:`_draw_size` for every stream in ``state``: the subset sizes, and
-    how many draws each size used."""
+def _subset_sizes(state, law, n_seed):
+    """The subset size of every stream in ``state`` under ``law``, and how
+    many draws each size used.  Uniform: 1 + z1 mod n_seed.  Dyadic: the
+    band of :func:`_dyadic_sizes`.  Mixed: odd z1 gives 1 + (z1 >> 1) mod 16,
+    capped at n_seed, even z1 the dyadic band from the next two draws.
+    Full: every seed, no draw."""
     if law == LAW_FULL:
         return np.full(state.shape, n_seed, dtype=np.int64), np.zeros(state.shape, dtype=np.int64)
     z1 = _draws(state, 1)
@@ -144,10 +117,10 @@ def _draw_sizes(state, law, n_seed):
 # array kernels
 # ---------------------------------------------------------------------------
 
-def enumerate_seed_values(n, ell, g):
-    """Packed values of every length-n string with GC content g that is ell
-    conflict free, ascending.  Refuses a space larger than
-    :data:`SEED_SPACE_LIMIT` before any work."""
+def enumerate_seed_values(n, ell, g=None):
+    """Packed values of every length-n string with GC content g (any GC
+    content for ``g=None``) that is ell conflict free, ascending.  Refuses a
+    space larger than :data:`SEED_SPACE_LIMIT` before any work."""
     total = 1 << (2 * n)
     if total > SEED_SPACE_LIMIT:
         raise InstanceTooLargeError(
@@ -157,7 +130,8 @@ def enumerate_seed_values(n, ell, g):
     parts = []
     for lo in range(0, total, 1 << 20):
         v = np.arange(lo, min(lo + (1 << 20), total), dtype=np.int64)
-        v = v[np.bitwise_count((v ^ (v >> 1)) & low_mask) == g]
+        if g is not None:  # C = 01 and G = 10 are the codes whose bits differ
+            v = v[np.bitwise_count((v ^ (v >> 1)) & low_mask) == g]
         for t in range(1, ell + 1):
             if v.size == 0:
                 break
@@ -294,7 +268,7 @@ def _trial_batches(trials, master_seed, law, n_seed):
     for lo in range(0, trials, cap):  # every trial draws at least one seed
         t = np.arange(lo, min(lo + cap, trials), dtype=np.uint64)
         state = base + t * np.uint64(_TRIAL_GAMMA)
-        size, used = _draw_sizes(state, law, n_seed)
+        size, used = _subset_sizes(state, law, n_seed)
         ends = np.cumsum(size)
         i = 0
         while i < t.size:
@@ -343,8 +317,10 @@ def _fisher_yates(state, size, used, n_seed):
 
 
 def run_trials(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
-    """Run the random closure construction; return per-floor best sizes and
-    the trial that first reached each, both indexed by distance 0..n.
+    """Run the random closure construction; return per-floor best sizes, the
+    trial that first reached each, and that trial's closure as sorted orbit
+    ids, all indexed by distance 0..n (an empty closure where no trial
+    reached the floor).
 
     Each trial draws a subset size from the law and a partial Fisher-Yates
     subset of seeds, closes it under the orbits, and measures the closure's
@@ -362,6 +338,7 @@ def run_trials(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
     orb_size = np.diff(orb_ptr)
     best_size = [0] * (n + 1)
     best_trial = [-1] * (n + 1)
+    best_orbs = [np.empty(0, dtype=np.int64)] * (n + 1)
     for first, state, size, used in _trial_batches(trials, master_seed, law, n_seed):
         picks = _fisher_yates(state, size, used, n_seed)
         trial = np.repeat(np.arange(size.size), size)
@@ -376,30 +353,10 @@ def run_trials(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
             # smallest bucket this closure could still improve
             d_gate = next((d for d in range(1, n + 1) if best_size[d] < size_c), 0)
             if d_gate:
-                d_star = _closure_distance(dist, orbs[starts[b]:starts[b + 1]], d_gate)
-                if d_star >= d_gate:
-                    for d in range(1, d_star + 1):
-                        if size_c > best_size[d]:
-                            best_size[d] = size_c
-                            best_trial[d] = first + b
-    return np.array(best_size, dtype=np.int64), np.array(best_trial, dtype=np.int64)
-
-
-def replay_trial(vals, orb_of, orb_ptr, orb_members, trial, master_seed, law):
-    """Re-run one trial's draws and return the sorted closure member indices."""
-    n_seed = vals.shape[0]
-    state = _trial_state(master_seed, trial)
-    state, r = _draw_size(state, law, n_seed)
-    pool = list(range(n_seed))
-    for i in range(r):
-        state, z = _next_u64(state)
-        j = i + z % (n_seed - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    members: list[int] = []
-    seen: set[int] = set()
-    for i in range(r):
-        k = int(orb_of[pool[i]])
-        if k not in seen:
-            seen.add(k)
-            members.extend(int(m) for m in orb_members[orb_ptr[k]:orb_ptr[k + 1]])
-    return sorted(members)
+                closure = orbs[starts[b]:starts[b + 1]]
+                d_star = _closure_distance(dist, closure, d_gate)
+                # best sizes never grow with d, so every bucket from d_gate
+                # to d_star improves; copies keep no batch array alive
+                for d in range(d_gate, d_star + 1):
+                    best_size[d], best_trial[d], best_orbs[d] = size_c, first + b, closure.copy()
+    return np.array(best_size, dtype=np.int64), np.array(best_trial, dtype=np.int64), best_orbs

@@ -8,7 +8,7 @@ packed values enumerate strings in lexicographic order.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,8 @@ _CODE_OF = {b: i for i, b in enumerate(ALPHABET)}
 _COMPLEMENT_TABLE = str.maketrans("ACGTacgt", "TGCATGCA")
 # ASCII byte -> base code, 255 for every byte that is not a base
 _CODE_LUT = np.full(256, 255, dtype=np.uint8)
-_CODE_LUT[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(4)
+_BASES = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
+_CODE_LUT[_BASES] = np.arange(4)
 
 #: low bit of every 2-bit group in a 64-bit word
 LOW_BITS = 0x5555555555555555
@@ -79,24 +80,12 @@ def pack(s: str) -> int:
     return v
 
 
-def unpack(v: int, n: int) -> str:
-    """Inverse of :func:`pack` for a known length."""
-    out = []
-    for i in range(n):
-        out.append(ALPHABET[(v >> (2 * (n - 1 - i))) & 3])
-    return "".join(out)
-
-
-def pack_all(words: Iterable[str]) -> np.ndarray:
-    return np.array([pack(w) for w in words], dtype=np.int64)
-
-
-def unpack_all(values: Iterable[int], n: int) -> list[str]:
-    return [unpack(int(v), n) for v in values]
-
-
-def complement_packed(v: int, n: int) -> int:
-    return v ^ ((1 << (2 * n)) - 1)
+def unpack_all(values, n: int) -> list[str]:
+    """Inverse of :func:`pack` over an array of values of a known length n."""
+    shifts = np.arange(2 * n - 2, -1, -2, dtype=np.int64)
+    codes = (np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 3
+    text = _BASES[codes].tobytes().decode("ascii")
+    return [text[i:i + n] for i in range(0, len(text), n)]
 
 
 def reverse_packed(v, n: int):
@@ -106,12 +95,6 @@ def reverse_packed(v, n: int):
         out = (out << 2) | (v & 3)
         v = v >> 2
     return out
-
-
-def gc_content_packed(v: int, n: int) -> int:
-    # C=01 and G=10 are exactly the codes whose two bits differ.
-    x = (v ^ (v >> 1)) & LOW_BITS & ((1 << (2 * n)) - 1)
-    return bin(x).count("1")
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +114,3 @@ def codes_matrix(words: Sequence[str]) -> np.ndarray:
         i = int((mat > 3).argmax())
         raise AlphabetError(f"invalid base {text[i]!r} in {words[i // n]!r}")
     return mat.reshape(len(words), n)
-
-
-def matrix_to_strings(mat: np.ndarray) -> list[str]:
-    lookup = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
-    return [bytes(lookup[row]).decode("ascii") for row in mat]

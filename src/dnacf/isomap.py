@@ -257,11 +257,8 @@ def enumerate_valid_pairs(ell: int) -> list[BlockPair]:
     lexicographically sorted.  Guarded to ell <= 6 (16^ell ordered pairs)."""
     if not 1 <= ell <= 6:
         raise ValueError(f"refusing pair enumeration for ell={ell} (limit 6)")
-    total = 4 ** ell
-    vals = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, ell), dtype=np.uint8)
-    for i in range(ell):
-        digits[:, i] = (vals >> (2 * (ell - 1 - i))) & 3
+    words = core.unpack_all(np.arange(4 ** ell), ell)
+    digits = core.codes_matrix(words)
     rev = digits[:, ::-1]
     comp = 3 - digits
     rc = 3 - rev
@@ -279,15 +276,11 @@ def enumerate_valid_pairs(ell: int) -> list[BlockPair]:
         # the four blocks must also be pairwise distinct
         full &= (row[None, :] != comp).any(axis=1)
         for iy in np.nonzero(full)[0]:
-            pair = BlockPair(_string_of(digits[ix]), _string_of(digits[iy]))
+            pair = BlockPair(words[ix], words[iy])
             if validate_pair(pair).conflict_safe:
                 pairs.append(pair)
     pairs.sort(key=lambda p: (p.x, p.y))
     return pairs
-
-
-def _string_of(row: np.ndarray) -> str:
-    return "".join(core.ALPHABET[c] for c in row)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ construction that drives the lower-bound tables.
 
 The search is deterministic given (spec, config): every trial derives its
 randomness from a counter-based mix of the master seed and the trial index,
-so results are independent of scheduling and can be replayed one trial at a
-time to materialize witness codes.
+so results are independent of scheduling; each bucket's witness code is the
+closure that the trial loop measured.
 """
 
 from __future__ import annotations
@@ -152,19 +152,16 @@ def random_construction(spec: SeedSetSpec, config: SearchConfig) -> BoundTable:
         raise ValueError(f"empty seed set for {spec}")
     orb_of, orb_ptr, orb_members = _orbit_partition(vals, spec.n, ("r", "c"))
     law = _kernels.LAW_CODES[config.subset_law]
-    best_size, best_trial = _kernels.run_trials(
+    best_size, best_trial, best_orbs = _kernels.run_trials(
         vals, orb_of, orb_ptr, orb_members, spec.n, config.trials, config.master_seed, law
     )
     table = BoundTable(spec=spec, config=config, seed_set_size=int(vals.size))
     for d in range(1, spec.n + 1):
         if best_size[d] > 0:
-            trial = int(best_trial[d])
-            members = _kernels.replay_trial(
-                vals, orb_of, orb_ptr, orb_members, trial, config.master_seed, law
-            )
-            words = tuple(sorted(core.unpack(int(vals[i]), spec.n) for i in members))
+            # the closure's seeds; vals ascend, so its words come out sorted
+            words = tuple(core.unpack_all(vals[np.isin(orb_of, best_orbs[d])], spec.n))
             assert len(words) == int(best_size[d])
-            table.buckets[d] = BoundEntry(size=len(words), trial=trial, code=words)
+            table.buckets[d] = BoundEntry(size=len(words), trial=int(best_trial[d]), code=words)
     return table
 
 
@@ -201,10 +198,7 @@ def exact_max_size(
         raise ValueError(f"unknown constraint ops {ops - _CONSTRAINT_OPS}")
     if not 1 <= d <= n:
         raise ValueError("d out of range")
-    if "GC" in ops:
-        vals = _kernels.enumerate_seed_values(n, ell, g)
-    else:
-        vals = _enumerate_conflict_free(n, ell)
+    vals = _kernels.enumerate_seed_values(n, ell, g if "GC" in ops else None)
     if vals.size > 512 and n > 6:
         raise InstanceTooLargeError(
             f"seed set of {vals.size} strings at n={n}; exact search refused"
@@ -275,11 +269,6 @@ def _max_weight_clique(weights: list[int], adj: list[int]) -> int:
 
     expand((1 << v_count) - 1, 0)
     return best
-
-
-def _enumerate_conflict_free(n: int, ell: int) -> np.ndarray:
-    parts = [_kernels.enumerate_seed_values(n, ell, g) for g in range(n + 1)]
-    return np.sort(np.concatenate(parts))
 
 
 def verify_table(table: BoundTable) -> bool:

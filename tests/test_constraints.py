@@ -219,3 +219,62 @@ def test_report_shape():
         "reverse_complement_ok", "complement_ok", "gc_constant",
         "conflict_free_level", "hairpin_free",
     }
+
+
+# ---------------------------------------------------------------------------
+# verify_code against a naive oracle on random small codes
+# ---------------------------------------------------------------------------
+
+_NAIVE_COMPLEMENT = str.maketrans("ACGT", "TGCA")
+_NAIVE_TRANSFORMS = {
+    "reverse_ok": lambda s: s[::-1],
+    "reverse_complement_ok": lambda s: s[::-1].translate(_NAIVE_COMPLEMENT),
+    "complement_ok": lambda s: s.translate(_NAIVE_COMPLEMENT),
+}
+
+
+def _naive_distance(x, y):
+    return sum(a != b for a, b in zip(x, y))
+
+
+def naive_report(words, claimed_d=None):
+    """Every ConstraintReport field from the definitions, pair by pair."""
+    n = len(words[0])
+    min_h = min((_naive_distance(x, y) for x in words for y in words if x != y), default=n)
+    floor = min_h if claimed_d is None else claimed_d
+    report = {"n": n, "size": len(words), "min_hamming": min_h, "distance_floor": floor}
+    for field, t in _NAIVE_TRANSFORMS.items():
+        # ordered pairs (x, y), skipping those where x equals the transform of y
+        report[field] = all(_naive_distance(x, t(y)) >= floor for x in words for y in words if x != t(y))
+    gcs = {w.count("G") + w.count("C") for w in words}
+    report["gc_constant"] = gcs.pop() if len(gcs) == 1 else None
+    report["conflict_free_level"] = min(oracle_level(w) for w in words)
+    report["hairpin_free"] = all(oracle_rc_free(w) for w in words)
+    return report
+
+
+@st.composite
+def small_codes(draw):
+    """Up to 12 distinct words of length n <= 8, drawn in groups that favour
+    palindromes, words equal to their own reverse-complement (at odd n, equal
+    but for the middle base) and complement, reverse and rc partners."""
+    n = draw(st.integers(1, 8))
+    word = st.text(alphabet="ACGT", min_size=n, max_size=n)
+    half, mid = n // 2, n - 2 * (n // 2)
+    rc = _NAIVE_TRANSFORMS["reverse_complement_ok"]
+    group = st.one_of(
+        word.map(lambda w: [w]),
+        word.map(lambda w: [w[:half + mid] + w[:half][::-1]]),
+        word.map(lambda w: [w[:half + mid] + rc(w[:half])]),
+        word.map(lambda w: [w, w.translate(_NAIVE_COMPLEMENT)]),
+        word.map(lambda w: [w, w[::-1], rc(w)]),
+    )
+    groups = draw(st.lists(group, min_size=1, max_size=6))
+    words = list(dict.fromkeys(w for g in groups for w in g))[:12]
+    return words, draw(st.none() | st.integers(0, n + 1))
+
+
+@given(small_codes())
+def test_verify_code_matches_naive_oracle(case):
+    words, claimed_d = case
+    assert verify_code(words, claimed_d=claimed_d).to_dict() == naive_report(words, claimed_d)

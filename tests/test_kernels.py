@@ -1,6 +1,6 @@
 """The kernels against independent oracles: brute-force string scans, the
-string predicates, and search results pinned before the trial loop moved onto
-the orbit-distance matrix."""
+string predicates, a scalar replay of the search's random stream, and search
+results pinned before the trial loop moved onto the orbit-distance matrix."""
 
 import functools
 import itertools
@@ -88,6 +88,10 @@ def _brute_orbits(words, ops):
     return orbits
 
 
+def _pack_all(words):
+    return np.array([core.pack(w) for w in words], dtype=np.int64)
+
+
 def _brute_min_distance(words_a, words_b):
     return min(
         (core.hamming_distance(x, y) for x in words_a for y in words_b if x != y),
@@ -108,10 +112,7 @@ def _brute_min_distance(words_a, words_b):
     ],
 )
 def test_orbit_distances_match_string_scan(n, ell, g, ops):
-    if g is None:
-        vals = search._enumerate_conflict_free(n, ell)
-    else:
-        vals = _kernels.enumerate_seed_values(n, ell, g)
+    vals = _kernels.enumerate_seed_values(n, ell, g)
     orb_of, orb_ptr, orb_members = search._orbit_partition(vals, n, ops)
     words = core.unpack_all(vals, n)
     orbits = [[words[i] for i in orb_members[orb_ptr[k]:orb_ptr[k + 1]]] for k in range(len(orb_ptr) - 1)]
@@ -132,7 +133,7 @@ def test_orbit_distances_match_string_words():
     for n in (1, 3, 8, 20, 31):
         words = ["".join(rng.choice(list("ACGT"), n)) for _ in range(30)]
         ident = np.arange(len(words) + 1)
-        dist = _kernels.orbit_distances(core.pack_all(words), ident, ident[:-1], n)
+        dist = _kernels.orbit_distances(_pack_all(words), ident, ident[:-1], n)
         for i, j in itertools.product(range(len(words)), repeat=2):
             want = n + 1 if i == j else core.hamming_distance(words[i], words[j])
             assert dist[i, j] == want, (n, i, j)
@@ -140,7 +141,7 @@ def test_orbit_distances_match_string_words():
         # the representative by index, so a repeated word is at distance 0
         for i in range(0, len(words), 6):
             words[i + 1] = words[i]
-        dist = _kernels.orbit_distances(core.pack_all(words), ident[::2], ident[:-1], n)
+        dist = _kernels.orbit_distances(_pack_all(words), ident[::2], ident[:-1], n)
         for a, b in itertools.product(range(len(words) // 2), repeat=2):
             want = min(core.hamming_distance(words[2 * a], words[y]) for y in (2 * b, 2 * b + 1) if y != 2 * a)
             assert dist[a, b] == want, (n, a, b)
@@ -191,11 +192,12 @@ def _string_predicates(n, ell):
 
 @pytest.mark.parametrize(
     "n,ell,g",
-    [(n, ell, g) for n in range(2, 8) for ell in range(1, n // 2 + 1) for g in range(n + 1)],
+    [(n, ell, g) for n in range(2, 8) for ell in range(1, n // 2 + 1) for g in [*range(n + 1), None]],
 )
 def test_enumeration_parity(n, ell, g):
-    # the packed enumeration agrees with the string predicates
-    want = [w for w, wg, free in _string_predicates(n, ell) if wg == g and free]
+    # the packed enumeration agrees with the string predicates; g=None
+    # skips the GC filter
+    want = [w for w, wg, free in _string_predicates(n, ell) if g in (None, wg) and free]
     got = _kernels.enumerate_seed_values(n, ell, g)
     assert got.dtype == np.int64
     assert core.unpack_all(got, n) == want
@@ -206,44 +208,91 @@ def _brute_min_pairwise(words):
     return min(int((mat[i + 1:] != mat[i]).sum(axis=1).min()) for i in range(len(words) - 1))
 
 
+# the scalar SplitMix64 stream and swapping Fisher-Yates that the batched
+# draws of _kernels.run_trials must reproduce, trial by trial
+_M64 = (1 << 64) - 1
+
+
+def _trial_state(master_seed, trial):
+    return (master_seed * 0x9E3779B97F4A7C15 + trial * 0xD1B54A32D192ED03 + 1) & _M64
+
+
+def _next_u64(state):
+    state = (state + 0x9E3779B97F4A7C15) & _M64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return state, z ^ (z >> 31)
+
+
+def _draw_size(state, law, n_seed):
+    if law == _kernels.LAW_FULL:
+        return state, n_seed
+    if law == _kernels.LAW_UNIFORM:
+        state, z = _next_u64(state)
+        return state, 1 + z % n_seed
+    if law == _kernels.LAW_MIXED:
+        state, z = _next_u64(state)
+        if z & 1:
+            return state, min(n_seed, 1 + (z >> 1) % 16)
+    # dyadic band: pick a power-of-two size range, then uniform inside it
+    bits = n_seed.bit_length()
+    state, z1 = _next_u64(state)
+    m = z1 % bits
+    lo = 1 << m
+    hi = min(n_seed, (1 << (m + 1)) - 1)
+    state, z2 = _next_u64(state)
+    return state, lo + z2 % (hi - lo + 1)
+
+
+def _scalar_picks(master_seed, trial, law, n_seed):
+    """One trial's subset, by the scalar stream and a swapping Fisher-Yates."""
+    state = _trial_state(master_seed, trial)
+    state, r = _draw_size(state, law, n_seed)
+    pool = list(range(n_seed))
+    for i in range(r):
+        state, z = _next_u64(state)
+        j = i + z % (n_seed - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:r]
+
+
+def _replay_trial(vals, orb_of, orb_ptr, orb_members, n, trial, master_seed, law):
+    """One trial's closure, replayed from the scalar stream, as sorted words."""
+    orbs = {int(orb_of[p]) for p in _scalar_picks(master_seed, trial, law, vals.shape[0])}
+    members = [int(m) for k in orbs for m in orb_members[orb_ptr[k]:orb_ptr[k + 1]]]
+    return sorted(core.unpack_all(vals[members], n))
+
+
 @pytest.mark.parametrize("law", sorted(_kernels.LAW_CODES))
 def test_run_trials_parity(law):
-    # pinned buckets, and a brute-force pair scan of every replayed witness
+    # pinned buckets; every emitted witness is the replayed closure of its
+    # trial, word for word, and passes a brute-force pair scan
     code = _kernels.LAW_CODES[law]
     for (n, pinned_law, seed), pinned in TRIAL_PINS.items():
         if pinned_law != law:
             continue
         vals = _kernels.enumerate_seed_values(n, n // 2, n // 2)
-        orb_of, orb_ptr, orb_members = search._orbit_partition(vals, n, ("r", "c"))
-        best_size, best_trial = _kernels.run_trials(
-            vals, orb_of, orb_ptr, orb_members, n, TRIALS[n], seed, code
+        partition = search._orbit_partition(vals, n, ("r", "c"))
+        best_size, best_trial, best_orbs = _kernels.run_trials(
+            vals, *partition, n, TRIALS[n], seed, code
         )
-        assert best_size[0] == 0 and best_trial[0] == -1
+        assert best_size[0] == 0 and best_trial[0] == -1 and best_orbs[0].size == 0
         assert list(zip(best_size[1:].tolist(), best_trial[1:].tolist())) == list(pinned), (n, seed)
-        for d, (size, trial) in enumerate(pinned, start=1):
-            if size == 0:
-                continue
-            members = _kernels.replay_trial(vals, orb_of, orb_ptr, orb_members, trial, seed, code)
-            words = core.unpack_all(vals[members], n)
-            assert len(words) == size
+        table = search.random_construction(
+            search.SeedSetSpec(n, n // 2, n // 2), search.SearchConfig(TRIALS[n], seed, law)
+        )
+        assert sorted(table.buckets) == [d for d, (size, _) in enumerate(pinned, start=1) if size]
+        for d, entry in table.buckets.items():
+            words = list(entry.code)
+            assert (entry.size, entry.trial) == pinned[d - 1], (n, seed, d)
+            assert words == _replay_trial(vals, *partition, n, entry.trial, seed, code), (n, seed, d)
+            assert len(words) == entry.size
             assert search.orbit_closure(words) == set(words)
             if d == 1:  # distance >= 1 means distinct words
-                assert len(set(words)) == size, (n, seed)
+                assert len(set(words)) == entry.size, (n, seed)
             else:
                 assert _brute_min_pairwise(words) >= d, (n, seed, d)
-
-
-def _scalar_picks(master_seed, trial, law, n_seed):
-    """One trial's subset, by the scalar SplitMix64 stream and swapping
-    Fisher-Yates that :func:`_kernels.replay_trial` uses."""
-    state = _kernels._trial_state(master_seed, trial)
-    state, r = _kernels._draw_size(state, law, n_seed)
-    pool = list(range(n_seed))
-    for i in range(r):
-        state, z = _kernels._next_u64(state)
-        j = i + z % (n_seed - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:r]
 
 
 @pytest.mark.parametrize("law", sorted(_kernels.LAW_CODES))
@@ -265,6 +314,12 @@ def test_batched_draws_match_scalar_stream(law, master_seed, monkeypatch):
             assert got[t] == _scalar_picks(master_seed, t, code, n_seed), (n_seed, t)
 
 
+def _same_trials(got, want):
+    best_size, best_trial, best_orbs = got
+    return (np.array_equal(best_size, want[0]) and np.array_equal(best_trial, want[1])
+            and all(np.array_equal(g, w) for g, w in zip(best_orbs, want[2], strict=True)))
+
+
 @pytest.mark.parametrize("law", sorted(_kernels.LAW_CODES))
 def test_run_trials_ignores_batch_boundaries(law, monkeypatch):
     code = _kernels.LAW_CODES[law]
@@ -274,8 +329,7 @@ def test_run_trials_ignores_batch_boundaries(law, monkeypatch):
         want = _kernels.run_trials(*args)
         for cap in (1, 1 << 30):
             monkeypatch.setattr(_kernels, "DRAW_BATCH_LIMIT", cap)
-            got = _kernels.run_trials(*args)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, cap)
+            assert _same_trials(_kernels.run_trials(*args), want), (n, cap)
 
 
 def _brute_min(a, b=None):
