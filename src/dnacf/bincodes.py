@@ -1,6 +1,7 @@
 """Classical binary codes feeding the DNA encoder.
 
-Codes are either explicit word lists or generator matrices over GF(2);
+Codes are either explicit word lists or generator matrices over GF(2).
+:func:`codeword_matrix` enumerates either kind once, as sorted 0/1 rows;
 codewords render as 0/1 strings.
 """
 
@@ -12,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, core
 
 # The sixteen words of the [7,4,3] Hamming code, kept as the published
 # listing so encoded tables reproduce row for row.
@@ -112,45 +113,37 @@ def gf2_rank(mat: np.ndarray) -> int:
     return rank
 
 
-def gf2_contains(generator: np.ndarray, word: np.ndarray) -> bool:
-    """Membership of ``word`` in the row space of ``generator``."""
-    return gf2_rank(np.vstack([generator, word])) == gf2_rank(generator)
+def codeword_matrix(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> np.ndarray:
+    """All codewords as uint8 0/1 rows, lexicographically sorted."""
+    _check_enumerable(code, limit)
+    if code.words is not None:
+        text = "".join(code.words).encode("ascii", "replace")  # one byte per character
+        mat = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(code.size, code.n)
+        bad = (mat > 1).any(axis=1)
+        if bad.any():
+            raise ValueError(f"not a binary word: {code.words[int(bad.argmax())]!r}")
+    else:
+        k = code.generator.shape[0]
+        msgs = ((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
+        mat = msgs @ code.generator % 2
+    return mat[np.argsort(core.bit_row_keys(mat), kind="stable")]
 
 
 def enumerate_codewords(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> list[str]:
     """All codewords as 0/1 strings, lexicographically sorted."""
-    _check_enumerable(code, limit)
-    if code.words is not None:
-        return sorted(code.words)
-    k = code.generator.shape[0]
-    msgs = ((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
-    words = msgs @ code.generator % 2
-    return sorted("".join(map(str, row)) for row in words)
+    return core.rows_text(codeword_matrix(code, limit) + ord("0"))
 
 
 def measured_min_distance(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> int:
     """Minimum Hamming distance by full enumeration.
 
-    Linear codes reduce to minimum nonzero weight; explicit codes scan pairs
-    with the packed pair kernel.
+    Linear codes reduce to minimum nonzero weight (row 0 is the zero word);
+    explicit codes scan pairs with the packed pair kernel.
     """
+    mat = codeword_matrix(code, limit)
     if code.generator is not None:
-        _check_enumerable(code, limit)
-        k = code.generator.shape[0]
-        msgs = ((np.arange(1, 1 << k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
-        words = msgs @ code.generator % 2
-        return int(words.sum(axis=1).min())
-    mat = np.array([[int(c) for c in w] for w in enumerate_codewords(code, limit)], dtype=np.uint8)
+        return int(mat[1:].sum(axis=1).min())
     return min(code.n, _kernels.min_cross_u8(mat))  # the words are distinct
-
-
-def contains_unit_vector_e1(code: BinaryCode) -> bool:
-    """Whether (1 0 ... 0) is a codeword; if so, encoded DNA codes satisfy
-    the complement constraint through closure."""
-    e1 = "1" + "0" * (code.n - 1)
-    if code.words is not None:
-        return e1 in code.words
-    return gf2_contains(code.generator, np.array([int(c) for c in e1], dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

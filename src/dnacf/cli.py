@@ -97,12 +97,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        words = read_code_file(args.code_file)
-        code = DnaCode(tuple(words))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    code = DnaCode(tuple(read_code_file(args.code_file)))
     report = verify_code(code, claimed_d=args.claim_distance)
     doc = {
         "manifest": _manifest(args, exclude=("func", "out", "code_file")),
@@ -156,11 +151,7 @@ def _named_code(name: str) -> bincodes.BinaryCode:
 
 
 def cmd_encode(args) -> int:
-    try:
-        code = _named_code(args.code)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    code = _named_code(args.code)
     if args.pair:
         x, y = args.pair.split(",")
         pair = isomap.BlockPair(x, y)
@@ -254,7 +245,7 @@ def _table_params(args) -> int:
             print(f"  {name} {row['printed']}: skipped ({row.get('note', 'out of scope')})")
             continue
         code = builders[name]()
-        words = bincodes.enumerate_codewords(code)
+        words = bincodes.codeword_matrix(code)
         d = isomap.min_binary_distance(words, ell)
         mult = d // ell if d % ell == 0 else d / ell
         published = row["distance_mult"]

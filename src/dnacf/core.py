@@ -84,8 +84,20 @@ def unpack_all(values, n: int) -> list[str]:
     """Inverse of :func:`pack` over an array of values of a known length n."""
     shifts = np.arange(2 * n - 2, -1, -2, dtype=np.int64)
     codes = (np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 3
-    text = _BASES[codes].tobytes().decode("ascii")
-    return [text[i:i + n] for i in range(0, len(text), n)]
+    return rows_text(_BASES[codes])
+
+
+def bit_row_keys(mat: np.ndarray) -> np.ndarray:
+    """One key per row of a 0/1 matrix; the keys sort and compare as the rows
+    do in lexicographic order."""
+    packed = np.packbits(mat, axis=1)
+    return packed.view(f"V{packed.shape[1]}")[:, 0]
+
+
+def rows_text(mat: np.ndarray) -> list[str]:
+    """The rows of a uint8 matrix of ASCII bytes, one string each."""
+    rows = np.ascontiguousarray(mat).view(f"S{mat.shape[1]}")[:, 0]
+    return list(map(bytes.decode, rows.tolist()))
 
 
 def reverse_packed(v, n: int):

@@ -4,8 +4,9 @@ check every predicted property against measurement.
 Predictions are computed from sound rules only, so a finished build's report
 never over-claims: the encoded minimum distance comes from the binary
 support-gap distance (an exact isometry), the complement check from the exact
-prefix-parity rule or unit-vector closure, and the reverse/conflict/hairpin
-checks from the corresponding pair flags.
+prefix-parity rule, and the reverse/conflict/hairpin checks from the
+corresponding pair flags.  The codewords enter once, as a sorted 0/1 matrix
+that the encoder and both binary-side scans read.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import core
-from .bincodes import BinaryCode, contains_unit_vector_e1, enumerate_codewords
+from .bincodes import BinaryCode, codeword_matrix, reed_muller_code
 from .constraints import ConstraintReport, DnaCode, verify_code
 from .isomap import (
     BlockPair,
     TransitionMap,
-    encode,
+    encode_all,
     encoded_gc_content,
     min_binary_distance,
     min_complement_distance,
@@ -116,12 +117,11 @@ def build_dna_code(
             raise BuildRefusedError(f"pair ({pair.x},{pair.y}) lacks {flag} for claim {claim!r}")
 
     tmap = TransitionMap.standard(pair, h0)
-    words = enumerate_codewords(code)
+    bits = codeword_matrix(code)
     n_bits, ell = code.n, pair.ell
-    dna_words = tuple(encode(w, tmap) for w in words)
-    dna = DnaCode(dna_words)
+    dna = DnaCode(tuple(encode_all(bits, tmap)))
 
-    d_pred = min_binary_distance(words, ell) if len(words) >= 2 else None
+    d_pred = min_binary_distance(bits, ell) if len(bits) >= 2 else None
     report = DnaCodeBuildReport(
         source=code.name, pair=(pair.x, pair.y), h0=h0, n_bits=n_bits, ell=ell
     )
@@ -132,7 +132,7 @@ def build_dna_code(
         report.checks.append(CheckRow(name=name, predicted=predicted, measured=got, passed=ok))
 
     check("length", n_bits * ell, dna.n, dna.n == n_bits * ell)
-    check("size", len(words), dna.size, dna.size == len(words))
+    check("size", len(bits), dna.size, dna.size == len(bits))
     if d_pred is not None:
         check("hamming_distance", d_pred, measured.min_hamming, measured.min_hamming == d_pred)
     gc_pred = encoded_gc_content(
@@ -152,8 +152,8 @@ def build_dna_code(
         check("hairpin_free", True, measured.hairpin_free, measured.hairpin_free)
     if flags.reverse_safe and n_bits % 2 == 0:
         check("reverse", True, measured.reverse_ok, measured.reverse_ok)
-    complement_pred = _complement_predicted(code, words, ell, d_pred)
-    if complement_pred:
+    # the encoded code's complement distance, measured on the binary side
+    if d_pred is not None and min_complement_distance(bits, ell) >= d_pred:
         check("complement", True, measured.complement_ok, measured.complement_ok)
         if flags.reverse_safe and n_bits % 2 == 0:
             check(
@@ -166,17 +166,6 @@ def build_dna_code(
         failed = [row.name for row in report.checks if not row.passed]
         raise BuildFailedError(f"predicted properties failed measurement: {failed}")
     return dna, report
-
-
-def _complement_predicted(code, words, ell, d_pred) -> bool:
-    # closure rule: flipping the leading bit complements the encoding, so a
-    # linear code containing e1 yields a complement-closed DNA code
-    if code.generator is not None and contains_unit_vector_e1(code):
-        return True
-    if d_pred is None:
-        return False
-    # exact rule: the encoded code's complement distance, from the binary words
-    return min_complement_distance(words, ell) >= d_pred
 
 
 def reed_muller_dna(
@@ -195,8 +184,6 @@ def reed_muller_dna(
     flags = validate_pair(pair)
     if not flags.fully_valid:
         raise BuildRefusedError(f"pair ({pair.x},{pair.y}) is not fully valid")
-    from .bincodes import reed_muller_code
-
     code = reed_muller_code(r, m)
     dna, report = build_dna_code(code, pair, h0=h0, require=("conflict", "gc_balanced"))
     ell = pair.ell

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels, core
-from .constraints import is_conflict_free, is_complete_conflict_free, is_rc_substring_free
+from .constraints import is_conflict_free, is_complete_conflict_free
 
 BLOCK_NAMES = ("x", "xc", "y", "yc")
 
@@ -92,9 +92,6 @@ class TransitionMap:
         }
         return cls(pair=pair, start=b[h0], table=table)
 
-    def initial(self, bit: int) -> str:
-        return self.start if bit == 0 else core.complement(self.start)
-
     def transition(self, prev: str, bit: int) -> str:
         key = (prev, int(bit))
         if key not in self.table:
@@ -109,13 +106,40 @@ class TransitionMap:
 
 def encode(a: str | Sequence[int], tmap: TransitionMap) -> str:
     """Encode a binary string into a DNA string of length n*ell."""
-    bits = _bits(a)
-    if not bits:
+    return encode_all(np.array([_bits(a)], dtype=np.uint8), tmap)[0]
+
+
+def encode_all(bits: np.ndarray, tmap: TransitionMap) -> list[str]:
+    """Encode every row of a 0/1 matrix, as :func:`encode` does one word.
+
+    The table is walked one bit column at a time for all rows, holding a
+    block index per row; the blocks are gathered and decoded once.
+    """
+    m, n = bits.shape
+    if n == 0:
         raise ValueError("empty binary string")
-    blocks = [tmap.initial(bits[0])]
-    for bit in bits[1:]:
-        blocks.append(tmap.transition(blocks[-1], bit))
-    return "".join(blocks)
+    if ((bits & 1) != bits).any():
+        raise ValueError("not a 0/1 matrix")
+    # blocks 0 and 1 are the start block and its complement, emitted for a
+    # leading 0 and a leading 1; the last index marks a missing table entry
+    # and stays put, so a row that met one ends on it
+    blocks = list(dict.fromkeys([tmap.start, core.complement(tmap.start),
+                                 *(prev for prev, _ in tmap.table), *tmap.table.values()]))
+    index = {block: i for i, block in enumerate(blocks)}
+    lost = len(blocks)
+    nxt = np.full((lost + 1, 2), lost, dtype=np.uint8)
+    for (prev, bit), block in tmap.table.items():
+        nxt[index[prev], bit] = index[block]
+    walk = np.empty((m, n), dtype=np.uint8)
+    walk[:, 0] = bits[:, 0]
+    for j in range(1, n):
+        walk[:, j] = nxt[walk[:, j - 1], bits[:, j]]
+    stuck = walk[:, -1] == lost
+    if stuck.any():
+        row = walk[stuck.argmax()]
+        raise ValueError(f"unknown block {blocks[row[(row == lost).argmax() - 1]]!r}")
+    text = np.frombuffer("".join(blocks).encode("ascii"), dtype=np.uint8).reshape(len(blocks), -1)
+    return core.rows_text(text[walk].reshape(m, -1))
 
 
 def image_set(n: int, tmap: TransitionMap) -> set[str]:
@@ -124,10 +148,8 @@ def image_set(n: int, tmap: TransitionMap) -> set[str]:
         raise ValueError("n must be positive")
     if n > 16:
         raise ValueError(f"refusing image_set for n={n} (2^n strings; limit 16)")
-    out = set()
-    for word in product("01", repeat=n):
-        out.add(encode("".join(word), tmap))
-    return out
+    words = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return set(encode_all(words.astype(np.uint8), tmap))
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +175,11 @@ def _prefix_parity(words: Sequence[str | Sequence[int]]) -> np.ndarray:
     """One uint8 row per word: bit i is the parity of the word's first i + 1
     bits.  The support-gap distance of two words is ell times the Hamming
     distance of their rows, because the gap sum counts the positions whose
-    prefix parity differs."""
-    mat = np.array([_bits(w) for w in words], dtype=np.uint8)
-    return np.bitwise_xor.accumulate(mat, axis=1)
+    prefix parity differs.  A uint8 0/1 matrix is read as it is; any other
+    sequence of words is parsed here."""
+    if not isinstance(words, np.ndarray):
+        words = np.array([_bits(w) for w in words], dtype=np.uint8)
+    return np.bitwise_xor.accumulate(words, axis=1)
 
 
 def min_binary_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
@@ -164,7 +188,7 @@ def min_binary_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
     if len(words) < 2:
         raise ValueError("need at least two codewords")
     parity = _prefix_parity(words)
-    if len({row.tobytes() for row in parity}) < len(words):
+    if len(np.unique(core.bit_row_keys(parity))) < len(words):
         return 0  # a repeated word; the kernel would skip the pair
     return ell * int(_kernels.min_cross_u8(parity))
 
@@ -194,7 +218,7 @@ class PairValidation:
     table caption instead prints the distance of x to the reverse-complement
     of y; the listed pairs demonstrably satisfy the self variant, so that is
     what this flag checks.  Hairpin safety is reported separately; it is not
-    part of the table conditions.)
+    part of the table conditions, and it covers every block junction.)
     """
 
     conflict_safe: bool
@@ -209,14 +233,13 @@ def validate_pair(pair: BlockPair) -> PairValidation:
     ell = pair.ell
     xc, yc = core.complement(x), core.complement(y)
 
-    conflict_safe = all(
-        is_conflict_free(s, 2 * ell - 1) for s in _four_block_strings(pair)
-    )
-    hairpin_safe = all(
-        is_rc_substring_free(x + mid + last)
-        for mid in (y, yc)
-        for last in (x, xc)
-    )
+    conflict_safe = _conflict_safe(pair)
+    # every 3-mer of an encoding lies in a reachable three-block window
+    # a*·b*·a*, so the union of the windows' 3-mers must be rc free
+    xs, ys = (x, xc), (y, yc)
+    windows = ["".join(w) for w in (*product(xs, ys, xs), *product(ys, xs, ys))]
+    kmers = {w[p:p + 3] for w in windows for p in range(3 * ell - 2)}
+    hairpin_safe = not any(core.reverse_complement(k) in kmers for k in kmers)
     reverse_safe = (
         core.hamming_distance(x, core.reverse_complement(y)) == ell
         and core.hamming_distance(x, core.reverse(y)) == ell
@@ -236,20 +259,13 @@ def validate_pair(pair: BlockPair) -> PairValidation:
     )
 
 
-def _four_block_strings(pair: BlockPair) -> list[str]:
+def _conflict_safe(pair: BlockPair) -> bool:
     # the 16 strings (x y* x* y*) and (y x* y* x*), x* in {x,xc}, y* in {y,yc}
-    x, y = pair.x, pair.y
-    xc, yc = core.complement(x), core.complement(y)
-    out = []
-    for xs in (x, xc):
-        for ys1 in (y, yc):
-            for ys2 in (y, yc):
-                out.append(x + ys1 + xs + ys2)
-    for ys in (y, yc):
-        for xs1 in (x, xc):
-            for xs2 in (x, xc):
-                out.append(y + xs1 + ys + xs2)
-    return out
+    xs = (pair.x, core.complement(pair.x))
+    ys = (pair.y, core.complement(pair.y))
+    strings = ([pair.x + "".join(w) for w in product(ys, xs, ys)]
+               + [pair.y + "".join(w) for w in product(xs, ys, xs)])
+    return all(is_conflict_free(s, 2 * pair.ell - 1) for s in strings)
 
 
 def enumerate_valid_pairs(ell: int) -> list[BlockPair]:
@@ -277,7 +293,7 @@ def enumerate_valid_pairs(ell: int) -> list[BlockPair]:
         full &= (row[None, :] != comp).any(axis=1)
         for iy in np.nonzero(full)[0]:
             pair = BlockPair(words[ix], words[iy])
-            if validate_pair(pair).conflict_safe:
+            if _conflict_safe(pair):
                 pairs.append(pair)
     pairs.sort(key=lambda p: (p.x, p.y))
     return pairs

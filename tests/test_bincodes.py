@@ -4,9 +4,8 @@ import pytest
 from dnacf.bincodes import (
     BinaryCode,
     CodeTooLargeError,
-    contains_unit_vector_e1,
+    codeword_matrix,
     enumerate_codewords,
-    gf2_contains,
     gf2_rank,
     golay_23_12,
     hamming_7_4,
@@ -99,20 +98,43 @@ def test_reed_muller_refused_before_building(monkeypatch):
         reed_muller_code(1, 19)
 
 
-def test_contains_unit_vector():
-    assert not contains_unit_vector_e1(repetition_code(5))
-    full3 = BinaryCode(name="full3", n=3, words=tuple(f"{i:03b}" for i in range(8)))
-    assert contains_unit_vector_e1(full3)
-    assert contains_unit_vector_e1(reed_muller_code(3, 3))
-    assert not contains_unit_vector_e1(reed_muller_code(1, 3))
-    # row-space membership against the enumerated codeword set
-    rm13 = reed_muller_code(1, 3)
-    members = set(enumerate_codewords(rm13))
-    assert len(members) == 16
-    for i in range(256):
-        word = f"{i:08b}"
-        vec = np.array([int(c) for c in word], dtype=np.uint8)
-        assert gf2_contains(rm13.generator, vec) == (word in members)
+def _span(generator):
+    # every XOR of a subset of the generator rows, as 0/1 strings
+    words = {"0" * generator.shape[1]}
+    for row in generator:
+        words |= {"".join(str(int(a) ^ int(b)) for a, b in zip(w, row)) for w in words}
+    return words
+
+
+@pytest.mark.parametrize("code", [hamming_7_4(), golay_23_12(), reed_muller_code(1, 5),
+                                  reed_muller_code(2, 4), repetition_code(5)], ids=lambda c: c.name)
+def test_codeword_matrix_is_the_sorted_code(code):
+    mat = codeword_matrix(code)
+    assert mat.dtype == np.uint8 and mat.shape == (code.size, code.n)
+    rows = ["".join(map(str, row)) for row in mat]
+    assert rows == sorted(enumerate_codewords(code))
+    expected = set(code.words) if code.words is not None else _span(code.generator)
+    assert rows == sorted(expected)
+
+
+def test_codeword_matrix_sorts_long_words():
+    # rows are sorted by one key each: a sort key per bit column would take
+    # 2^20 keys here
+    n = 1 << 20
+    code = BinaryCode(name="long", n=n, words=("1" + "0" * (n - 1), "0" * (n - 1) + "1"))
+    mat = codeword_matrix(code)
+    assert mat.shape == (2, n)
+    assert mat[0, -1] == 1 and mat[1, 0] == 1 and mat.sum() == 2
+    assert codeword_matrix(reed_muller_code(0, 20)).sum(axis=1).tolist() == [0, n]
+
+
+def test_codeword_matrix_rejects_non_binary_words():
+    with pytest.raises(ValueError, match="0102"):
+        codeword_matrix(BinaryCode(name="f", n=4, words=("0000", "0102")))
+    with pytest.raises(ValueError, match="not a binary word"):
+        codeword_matrix(BinaryCode(name="f", n=2, words=("00", "1\u00e9")))
+    with pytest.raises(CodeTooLargeError):  # the size guard runs first
+        codeword_matrix(BinaryCode(name="f", n=4, words=("0000", "0102")), limit=7)
 
 
 def test_published_rm_row_is_inconsistent():

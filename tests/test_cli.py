@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dnacf import _kernels, reference
+from dnacf import _kernels, factory, isomap, reference
 from dnacf.cli import main, read_code_file
 
 
@@ -198,13 +205,34 @@ def test_search_distance_matrix_limit(monkeypatch, capsys):
     assert "MiB" in err
 
 
-def test_encode_failed_claim_exits_1(capsys):
-    # the pair's hairpin flag holds, but its encodings are not hairpin free
+def test_encode_failed_claim_exits_1(capsys, monkeypatch):
+    # a pair flag that over-claims hairpin safety: (ACT, CTG) is not safe,
+    # and its encodings are not hairpin free
+    def over_claiming(pair):
+        return dataclasses.replace(isomap.validate_pair(pair), hairpin_safe=True)
+
+    monkeypatch.setattr(factory, "validate_pair", over_claiming)
     code, out, err = run(capsys, "encode", "--code", "hamming74", "--ell", "3",
                          "--pair", "ACT,CTG", "--allow-partial")
     assert code == 1
     assert "hairpin_free" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("code", ["hamming74", "golay23", "rm,1,3"])
+def test_encode_at_ell_1(code, capsys):
+    # no ell = 1 pair is hairpin safe, so no build claims hairpin freedom
+    status, out, err = run(capsys, "encode", "--code", code, "--ell", "1")
+    assert status == 0, err
+    assert len(out.splitlines()) > 2
+
+
+def test_encode_non_binary_file_code(tmp_path, capsys):
+    f = tmp_path / "code.txt"
+    f.write_text("0000\n0102\n")
+    code, out, err = run(capsys, "encode", "--code", f"file:{f}", "--ell", "3")
+    assert code == 2
+    assert "0102" in err and out == ""
 
 
 @pytest.mark.parametrize("code", ["rm,1,25", "rm,1,20", "rm,1,12"])
@@ -273,3 +301,94 @@ def test_golden_stdout(argv, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+# The fuzz draws stay small.  Left out, because they pass every guard yet
+# start seconds to minutes of work: n = 10..16 for seeds and search (at
+# n = 13..16 the 4^n seed scan alone takes seconds to minutes), pair
+# enumeration at ell = 6 (16^6 pairs), RM(2,5), RM(3,4) and RM(4,4), whose
+# encoded pair scans run from seconds to over a minute, and RM(0,20..23):
+# two words of 2^20..2^23 bits, seconds to minutes of encoding and scans.
+_GARBAGE = st.sampled_from(["", "x", "1.5", "-", "0x3", "ACGT", "\u00e9"])
+_N = st.integers(-2, 9) | st.integers(17, 40)
+_ELL = st.integers(-2, 5) | st.integers(7, 12)
+_HEAVY_RM = {(2, 5), (3, 4), (4, 4), (0, 20), (0, 21), (0, 22), (0, 23)}
+_CODES = st.one_of(
+    st.just("hamming74"),
+    st.integers(-1, 9).map(lambda k: f"repetition{k}"),
+    st.tuples(st.integers(-1, 6), st.integers(-1, 5) | st.integers(20, 30))
+    .filter(lambda rm: rm not in _HEAVY_RM).map(lambda rm: f"rm,{rm[0]},{rm[1]}"),
+    st.sampled_from(["file:{dir}/code.txt", "file:{dir}/missing.txt"]),
+)
+_PAIRS = st.lists(st.text("ACGTN", max_size=6), min_size=1, max_size=3).map(",".join)
+
+
+def _words(alphabet):
+    # distinct words of one length
+    return st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.text(alphabet, min_size=n, max_size=n), unique=True, max_size=10))
+
+
+_LINES = st.one_of(
+    _words("ACGT"), _words("01"), st.lists(st.text("01ACGTacgtN#\u00e9 ", max_size=8), max_size=10),
+).map("\n".join)
+
+
+def _opt(name, values, required=False):
+    """``[name, value]``; an optional option may also be left out."""
+    given_ = values.map(lambda v: [name, str(v)])
+    return given_ if required else st.one_of(st.just([]), given_)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["seeds", "search", "verify", "pairs", "encode", "tables"]))
+    argv = [command]
+    if command in ("seeds", "search"):
+        argv += draw(_opt("--n", _N, required=True))
+        argv += draw(_opt("--ell", st.integers(-1, 6), required=True))
+        argv += draw(_opt("--gc", st.integers(-1, 10), required=True))
+        if command == "search":
+            # the default of 100,000 trials would run for seconds
+            argv += draw(_opt("--trials", st.integers(-5, 50), required=True))
+            argv += draw(_opt("--seed", st.integers(-3, 2 ** 64 + 3)))
+            argv += draw(_opt("--law", st.sampled_from(["uniform", "dyadic", "mixed", "full"])))
+    elif command == "verify":
+        argv.append(draw(st.sampled_from(["{dir}/code.txt"] * 4 + ["{dir}/missing.txt", "{dir}"])))
+        for name in ("--claim-distance", "--claim-conflict", "--claim-gc"):
+            argv += draw(_opt(name, st.integers(-2, 12)))
+        argv += draw(st.lists(st.sampled_from(["--claim-reverse", "--claim-rc"]), max_size=2))
+    elif command == "pairs":
+        argv += draw(_opt("--ell", _ELL, required=True))
+    elif command == "encode":
+        argv += draw(_opt("--code", _CODES, required=True))
+        argv += draw(_opt("--ell", _ELL, required=True))
+        argv += draw(_opt("--pair", _PAIRS))
+        argv += draw(_opt("--h0", st.sampled_from(isomap.BLOCK_NAMES)))
+        argv += draw(st.sampled_from([[], ["--allow-partial"]]))
+    else:
+        argv += draw(_opt("--which", st.sampled_from(["bounds", "pairs", "params"]), required=True))
+        # the defaults (n <= 6, 100,000 trials) would run for seconds, too
+        argv += draw(_opt("--n-max", st.integers(-1, 4), required=True))
+        argv += draw(_opt("--trials", st.integers(-5, 20), required=True))
+        argv += draw(_opt("--ell", _ELL))
+        argv += draw(_opt("--law", st.sampled_from(["uniform", "mixed"])))
+    if draw(st.integers(0, 3)) == 0:  # one token in a quarter of the cases is garbage
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(_GARBAGE)
+    return argv, draw(_LINES)
+
+
+@given(_argv())
+def test_cli_fuzz_exit_codes(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "code.txt").write_text(text, encoding="utf-8")
+        argv = [a.replace("{dir}", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

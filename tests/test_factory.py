@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
-from dnacf.bincodes import BinaryCode, golay_23_12, hamming_7_4, repetition_code
+from dnacf.bincodes import (
+    BinaryCode,
+    codeword_matrix,
+    golay_23_12,
+    hamming_7_4,
+    reed_muller_code,
+    repetition_code,
+)
 from dnacf.constraints import verify_code
 from dnacf.factory import (
     BuildRefusedError,
@@ -8,7 +16,7 @@ from dnacf.factory import (
     printed_complement_condition,
     reed_muller_dna,
 )
-from dnacf.isomap import BlockPair
+from dnacf.isomap import BlockPair, default_pair, min_binary_distance, min_complement_distance
 
 PAIR3 = BlockPair("ATA", "CGC")
 
@@ -58,6 +66,29 @@ def test_printed_complement_condition_is_not_sufficient():
     assert not report.constraint_report.complement_ok
     assert all(row.name != "complement" for row in report.checks)
     assert report.passed
+
+
+def _e1_codes():
+    six = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 1]], dtype=np.uint8)
+    return [reed_muller_code(m, m) for m in range(1, 5)] + [
+        BinaryCode(name="identity5", n=5, generator=np.eye(5, dtype=np.uint8)),
+        BinaryCode(name="six3", n=6, generator=six),
+    ]
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_exact_complement_rule_covers_codes_holding_e1(ell):
+    # flipping the leading bit complements an encoding, and for a linear code
+    # holding e1 = 10...0 that flip maps codewords to codewords
+    # (1 - P(v) = P(v ^ e1)), so the exact rule alone predicts the constraint
+    for code in _e1_codes():
+        bits = codeword_matrix(code)
+        e1 = np.eye(1, code.n, dtype=np.uint8)
+        assert (bits == e1).all(axis=1).any()
+        assert min_complement_distance(bits, ell) >= min_binary_distance(bits, ell)
+    dna, report = build_dna_code(_e1_codes()[4], default_pair(ell))
+    assert "complement" in [row.name for row in report.checks]
+    assert report.constraint_report.complement_ok
 
 
 def test_reed_muller_dna_parameters():

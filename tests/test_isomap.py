@@ -1,9 +1,11 @@
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from dnacf import core, reference
-from dnacf.constraints import is_conflict_free
+from dnacf.constraints import is_conflict_free, is_rc_substring_free
 from dnacf.isomap import (
     BlockPair,
     TransitionMap,
@@ -11,7 +13,9 @@ from dnacf.isomap import (
     binary_complete_conflict_condition,
     binary_distance,
     default_pair,
+    BLOCK_NAMES,
     encode,
+    encode_all,
     encoded_gc_content,
     encodes_to_complete_conflict_free,
     enumerate_valid_pairs,
@@ -65,6 +69,51 @@ def test_encode_worked_example():
     assert encode("011", tm) == "CGTAGC"
     assert encode("0", tm) == "CG"
     assert encode("1", tm) == "GC"
+
+
+def _scalar_encode(a, tmap):
+    # the table walk word by word: the leading bit picks the start block or
+    # its complement, every later bit one table entry
+    blocks = [tmap.start if a[0] == "0" else core.complement(tmap.start)]
+    for bit in a[1:]:
+        blocks.append(tmap.transition(blocks[-1], int(bit)))
+    return "".join(blocks)
+
+
+def _bit_rows(words):
+    return np.array([[int(c) for c in w] for w in words], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("pair", [PAIR_ATA_CGC, PAIR_CG_AT, default_pair(4)], ids=str)
+def test_encode_all_matches_scalar_walk(pair):
+    rng = random.Random(5)
+    for h0 in BLOCK_NAMES:
+        tm = TransitionMap.standard(pair, h0)
+        batches = [list(all_bits(n)) for n in range(1, 9)]
+        for n in (23, 64):
+            batches.append(["".join(rng.choice("01") for _ in range(n)) for _ in range(50)])
+        for words in batches:
+            assert encode_all(_bit_rows(words), tm) == [_scalar_encode(a, tm) for a in words]
+
+
+def test_encode_all_walks_any_table():
+    # a table that never complements: bit 0 and bit 1 both step x -> y -> x
+    b = PAIR_CG_AT.blocks()
+    table = {(blk, bit): (b["y"] if blk in (b["x"], b["xc"]) else b["x"])
+             for blk in b.values() for bit in (0, 1)}
+    tm = TransitionMap(pair=PAIR_CG_AT, start=b["x"], table=table)
+    words = list(all_bits(4))
+    assert encode_all(_bit_rows(words), tm) == [_scalar_encode(a, tm) for a in words]
+    partial = TransitionMap(pair=PAIR_CG_AT, start=b["x"], table={(b["x"], 0): b["y"]})
+    assert encode("00", partial) == "CGAT"
+    with pytest.raises(ValueError, match="unknown block 'AT'"):
+        encode("000", partial)
+    with pytest.raises(ValueError, match="empty"):
+        encode("", partial)
+    with pytest.raises(ValueError, match="0/1"):
+        encode_all(np.array([[0, 2, 1]]), tm)
+    with pytest.raises(ValueError, match="0/1"):
+        encode_all(np.array([[0, -1]]), tm)
 
 
 def test_image_set():
@@ -250,7 +299,33 @@ def test_validate_pair_examples():
     assert not v.reverse_safe  # distance to the reverse-complement of y is 2
     v = validate_pair(BlockPair("ACT", "CTG"))
     assert not v.conflict_safe and not v.fully_valid
-    assert v.hairpin_safe and v.reverse_safe and v.gc_balanced
+    assert v.reverse_safe and v.gc_balanced
+    # TCT (in x·y) and AGA (in xc·yc) lie in different windows
+    assert not v.hairpin_safe
+    tm = TransitionMap.standard(BlockPair("ACT", "CTG"))
+    assert not is_rc_substring_free(encode("0000000", tm))
+
+
+def test_hairpin_flag_is_sound():
+    flagged = {}
+    for ell in (1, 2, 3):
+        words = ["".join(w) for w in product("ACGT", repeat=ell)]
+        pairs = []
+        for x, y in product(words, repeat=2):
+            try:
+                pair = BlockPair(x, y)
+            except ValueError:
+                continue
+            if validate_pair(pair).hairpin_safe:
+                pairs.append(pair)
+        flagged[ell] = len(pairs)
+        for pair in pairs:
+            for h0 in BLOCK_NAMES:
+                tm = TransitionMap.standard(pair, h0)
+                for n in range(1, 9):
+                    for u in encode_all(_bit_rows(all_bits(n)), tm):
+                        assert is_rc_substring_free(u), (pair, h0, u)
+    assert flagged == {1: 0, 2: 16, 3: 32}
 
 
 def test_enumerate_valid_pairs_counts_and_fixture():
