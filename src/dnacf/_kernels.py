@@ -32,15 +32,16 @@ _TRIAL_GAMMA = 0xD1B54A32D192ED03  # spreads the trial streams
 #: seed sets up to n = 12 (21,064 orbits) and refuses n = 13 (48,858).
 DIST_MEMORY_LIMIT = 512 << 20
 
-#: largest scan, in row pairs times uint64 words per row, that
-#: :func:`min_cross_u8` will make.  It scans about 2.4e8 word pairs/s on rows
-#: of 192 words (5e8 on the Golay code's 3), on one core of a 2-core x86-64
-#: machine with NumPy 2.4, so the limit is about 18 s per scan.
+#: largest scan, in rows times rows times uint64 words per row, that
+#: :func:`min_cross_u8` will make.  It covers about 4.5e8 of these units/s on
+#: rows of 192 words (8.5e8 on the Golay code's 3), on one core of a 2-core
+#: x86-64 machine with NumPy 2.4, so the limit is about 10 s per scan.
 PAIR_WORK_LIMIT = 1 << 32
 
-#: row pairs per chunk of :func:`min_cross_u8`; its temporaries are uint64
-#: arrays of this many entries (1 MiB each)
-PAIR_CHUNK = 1 << 17
+#: row pairs per chunk of :func:`min_cross_u8`, and cells per temporary of the
+#: row scans of ``constraints.verify_code``; the pair kernel's uint64
+#: temporaries are 256 KiB each
+PAIR_CHUNK = 1 << 15
 
 #: largest string space, 4**n, that :func:`enumerate_seed_values` will scan.
 #: The scan visits every string, about 0.3 s at n = 12 and 4x more per extra
@@ -156,45 +157,66 @@ def _pack_rows(mat):
     return out
 
 
-def min_cross_u8(a, b=None):
-    """Minimum of d(a_i, b_j) over the row pairs of two uint8 matrices of
-    values 0..3, skipping identical rows; ``n + 1`` if no pair is left.
-    ``b=None`` means the pairs i < j of ``a``, whose rows must be distinct.
+def min_cross_u8(a, reverse=False):
+    """Two minima over the row pairs i <= j of a uint8 matrix of values 0..3:
+    of d(a_i, b_j) and of d(a_i, 3 - b_j), where b is ``a``, or ``a`` with
+    every row reversed for ``reverse=True``.  Pairs at distance 0 are
+    skipped; a minimum with no pair left is ``n + 1``.
 
-    Packed rows (:func:`_pack_rows`) are compared a word column at a time, in
-    chunks of about :data:`PAIR_CHUNK` row pairs; with ``b=None`` the chunk
-    of rows lo..hi only meets rows lo onwards.  Refuses, before packing, a
-    scan of more than :data:`PAIR_WORK_LIMIT` word pairs.
+    The upper triangle covers every pair because reverse, complement and
+    reverse-complement preserve distance and are involutions, so
+    d(a_i, T a_j) = d(a_j, T a_i).  Packed rows (:func:`_pack_rows`) are
+    compared a word column at a time, in chunks of about :data:`PAIR_CHUNK`
+    row pairs; the chunk of rows lo..hi meets rows lo onwards.  One XOR per
+    word pair gives both counts: its nonzero 2-bit groups are d, and its
+    ``0b11`` groups, popcount minus nonzero groups, are the positions where
+    a_i is the complement of b_j, so d(a_i, 3 - b_j) = n - their number.
+    Refuses, before packing, a scan of more than :data:`PAIR_WORK_LIMIT` word
+    pairs.
     """
     m, n = a.shape
-    mb = m if b is None else b.shape[0]
     words = -(-n // 32)
-    if m * mb * words > PAIR_WORK_LIMIT:
-        raise InstanceTooLargeError(f"a {m} x {mb} row scan of {words} words per row "
+    if m * m * words > PAIR_WORK_LIMIT:
+        raise InstanceTooLargeError(f"a {m} x {m} row scan of {words} words per row "
                                     f"exceeds the pair-work limit of {PAIR_WORK_LIMIT} word pairs")
-    best = n + 1
-    if mb == 0:
-        return best
+    best, best_comp = n + 1, n + 1
+    if m == 0:
+        return best, best_comp
     pa = _pack_rows(a)
-    pb = pa if b is None else _pack_rows(b)
-    # the accumulator starts at its top value, so it holds d - 1 and an
-    # identical pair wraps round to the top, above every d - 1 <= n - 1
+    pb = _pack_rows(a[:, ::-1]) if reverse else pa
+    # Both counters wrap modulo 2**bits.  ``nz`` starts at its top value, so it
+    # holds d - 1 and an identical pair wraps round to the top, above every
+    # d - 1 <= n - 1.  ``pc`` starts at -n, so nz - pc = n - 1 - (0b11
+    # groups) = d(a_i, 3 - b_j) - 1, and a complementary pair wraps to the top
+    # the same way.  Only that difference, in -1..n - 1, has to fit, so the
+    # type of n serves for both.
     acc_type = np.min_scalar_type(n)  # uint8 up to n = 255, uint16 above
+    top = np.iinfo(acc_type).max
+    size = max(PAIR_CHUNK, m)  # one buffer per temporary, reused by every chunk
+    x_buf, y_buf = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    cnt_buf = np.empty(size, dtype=np.uint8)
+    nz_buf, pc_buf = np.empty(size, dtype=acc_type), np.empty(size, dtype=acc_type)
     lo = 0
     while lo < m:
-        first = lo if b is None else 0
-        hi = min(m, lo + max(1, PAIR_CHUNK // (mb - first)))
-        acc = np.full((hi - lo, mb - first), np.iinfo(acc_type).max, dtype=acc_type)
+        hi = min(m, lo + max(1, PAIR_CHUNK // (m - lo)))
+        shape, cells = (hi - lo, m - lo), (hi - lo) * (m - lo)
+        x, y, cnt = (buf[:cells].reshape(shape) for buf in (x_buf, y_buf, cnt_buf))
+        nz, pc = nz_buf[:cells].reshape(shape), pc_buf[:cells].reshape(shape)
+        nz.fill(top)
+        pc.fill(top - n + 1)  # -n modulo 2**bits
         for wa, wb in zip(pa, pb):
-            x = wa[lo:hi, None] ^ wb[None, first:]
-            x |= x >> 1
+            np.bitwise_xor(wa[lo:hi, None], wb[None, lo:], out=x)
+            pc += np.bitwise_count(x, out=cnt)
+            np.right_shift(x, 1, out=y)
+            x |= y
             x &= LOW_BITS
-            acc += np.bitwise_count(x)
-        best = min(best, int(acc.min()) + 1)
-        if best == 1:
+            nz += np.bitwise_count(x, out=cnt)
+        best = min(best, int(nz.min()) + 1)
+        best_comp = min(best_comp, int(np.subtract(nz, pc, out=pc).min()) + 1)
+        if best == best_comp == 1:
             break
         lo = hi
-    return best
+    return best, best_comp
 
 
 def orbit_distances(vals, orb_ptr, orb_members, n):

@@ -143,7 +143,7 @@ def measured_min_distance(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> i
     mat = codeword_matrix(code, limit)
     if code.generator is not None:
         return int(mat[1:].sum(axis=1).min())
-    return min(code.n, _kernels.min_cross_u8(mat))  # the words are distinct
+    return min(code.n, _kernels.min_cross_u8(mat)[0])  # the words are distinct
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
+import numpy as np
+
 from . import _kernels, core
 
 
@@ -53,6 +55,31 @@ def is_rc_substring_free(s: str) -> bool:
     """
     seen = {s[p:p + 3] for p in range(len(s) - 2)}
     return not any(core.reverse_complement(w) in seen for w in seen)
+
+
+# 3-mer code 16a + 4b + c -> 63 - (16c + 4b + a), the code of its reverse-complement
+_RC_3MER = 63 - np.arange(64).reshape(4, 4, 4).transpose().ravel()
+
+
+def _rows_conflict_level(rows: np.ndarray, top: int) -> int:
+    """:func:`_conflict_level` of the rows of a base-code matrix, taken as the
+    minimum over the rows: the first block length t at which any row has t
+    equal positions in a run, between itself and itself shifted by t."""
+    for t in range(1, top + 1):
+        same = np.zeros((rows.shape[0], rows.shape[1] - t + 1), dtype=np.int32)
+        np.cumsum(rows[:, t:] == rows[:, :-t], axis=1, out=same[:, 1:])
+        if (same[:, t:] - same[:, :-t] == t).any():  # a window of t equal positions
+            return t - 1
+    return top
+
+
+def _rows_rc_substring_free(rows: np.ndarray) -> bool:
+    """:func:`is_rc_substring_free` of every row of a base-code matrix."""
+    if rows.shape[1] < 3:
+        return True
+    seen = np.zeros((rows.shape[0], 64), dtype=bool)
+    seen[np.arange(rows.shape[0])[:, None], 16 * rows[:, :-2] + 4 * rows[:, 1:-1] + rows[:, 2:]] = True
+    return not (seen & seen[:, _RC_3MER]).any()
 
 
 @dataclass(frozen=True)
@@ -125,27 +152,29 @@ def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> 
         code = DnaCode.from_iterable(code)
     n = code.n
     mat = core.codes_matrix(code.words)
-    min_h = min(n, _kernels.min_cross_u8(mat))  # rows are distinct; n + 1 for one row
+    min_h, comp = _kernels.min_cross_u8(mat)  # comp <= n: a word and its own complement
+    min_h = min(n, min_h)  # rows are distinct; n + 1 for one row
     floor = claimed_d if claimed_d is not None else min_h
-
     # pairs at distance 0 (x equals the transform of y) are skipped
-    rev = mat[:, ::-1]
-    reverse_ok, rc_ok, comp_ok = (
-        _kernels.min_cross_u8(mat, t) >= floor for t in (rev, 3 - rev, 3 - mat)
-    )
+    rev, rc = _kernels.min_cross_u8(mat, reverse=True)
 
-    gcs = {core.gc_content(w) for w in code.words}
+    gcs: set[int] = set()
+    level, hairpin = n // 2, True
+    step = max(1, _kernels.PAIR_CHUNK // max(n, 64))  # rows per chunk of the scans below
+    for lo in range(0, code.size, step):
+        rows = mat[lo:lo + step]
+        gcs.update(((rows ^ (rows >> 1)) & 1).sum(axis=1).tolist())  # C = 01, G = 10
+        level = _rows_conflict_level(rows, level)
+        hairpin = hairpin and _rows_rc_substring_free(rows)
     gc_constant = gcs.pop() if len(gcs) == 1 else None
-    level = min(conflict_free_level(w) for w in code.words)
-    hairpin = all(is_rc_substring_free(w) for w in code.words)
     return ConstraintReport(
         n=n,
         size=code.size,
         min_hamming=min_h,
         distance_floor=floor,
-        reverse_ok=reverse_ok,
-        reverse_complement_ok=rc_ok,
-        complement_ok=comp_ok,
+        reverse_ok=rev >= floor,
+        reverse_complement_ok=rc >= floor,
+        complement_ok=comp >= floor,
         gc_constant=gc_constant,
         conflict_free_level=level,
         hairpin_free=hairpin,

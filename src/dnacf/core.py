@@ -90,7 +90,7 @@ def unpack_all(values, n: int) -> list[str]:
 def bit_row_keys(mat: np.ndarray) -> np.ndarray:
     """One key per row of a 0/1 matrix; the keys sort and compare as the rows
     do in lexicographic order."""
-    packed = np.packbits(mat, axis=1)
+    packed = np.ascontiguousarray(np.packbits(mat, axis=1))
     return packed.view(f"V{packed.shape[1]}")[:, 0]
 
 

@@ -6,7 +6,7 @@ never over-claims: the encoded minimum distance comes from the binary
 support-gap distance (an exact isometry), the complement check from the exact
 prefix-parity rule, and the reverse/conflict/hairpin checks from the
 corresponding pair flags.  The codewords enter once, as a sorted 0/1 matrix
-that the encoder and both binary-side scans read.
+that the encoder and the binary-side scan read.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from .constraints import ConstraintReport, DnaCode, verify_code
 from .isomap import (
     BlockPair,
     TransitionMap,
+    binary_distances,
     encode_all,
     encoded_gc_content,
-    min_binary_distance,
-    min_complement_distance,
     validate_pair,
 )
 
@@ -121,7 +120,8 @@ def build_dna_code(
     n_bits, ell = code.n, pair.ell
     dna = DnaCode(tuple(encode_all(bits, tmap)))
 
-    d_pred = min_binary_distance(bits, ell) if len(bits) >= 2 else None
+    d_bin, d_comp = binary_distances(bits, ell)
+    d_pred = d_bin if len(bits) >= 2 else None
     report = DnaCodeBuildReport(
         source=code.name, pair=(pair.x, pair.y), h0=h0, n_bits=n_bits, ell=ell
     )
@@ -153,7 +153,7 @@ def build_dna_code(
     if flags.reverse_safe and n_bits % 2 == 0:
         check("reverse", True, measured.reverse_ok, measured.reverse_ok)
     # the encoded code's complement distance, measured on the binary side
-    if d_pred is not None and min_complement_distance(bits, ell) >= d_pred:
+    if d_pred is not None and d_comp >= d_pred:
         check("complement", True, measured.complement_ok, measured.complement_ok)
         if flags.reverse_safe and n_bits % 2 == 0:
             check(

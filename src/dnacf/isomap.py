@@ -182,26 +182,33 @@ def _prefix_parity(words: Sequence[str | Sequence[int]]) -> np.ndarray:
     return np.bitwise_xor.accumulate(words, axis=1)
 
 
+def binary_distances(words: Sequence[str | Sequence[int]], ell: int) -> tuple[int, int]:
+    """The minimum of :func:`binary_distance` over all pairs of entries (0 when
+    a word repeats), and the minimum distance from one word's encoding to the
+    complement of another's or its own, skipping pairs where the two are equal.
+
+    The complement of v's encoding encodes v with its leading bit flipped,
+    whose prefix parity is 1 - P(v).  Scaled to 0/3, that is 3 - 3P(v), the
+    kernel's complement, so one pair scan gives both minima.
+    """
+    parity = _prefix_parity(words)
+    d, d_comp = _kernels.min_cross_u8(3 * parity)
+    if len(np.unique(core.bit_row_keys(parity))) < len(words):
+        d = 0  # a repeated word; the kernel skips the pair
+    return ell * d, ell * d_comp
+
+
 def min_binary_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
     """Minimum of :func:`binary_distance` over all pairs of entries; 0 when a
     word repeats."""
     if len(words) < 2:
         raise ValueError("need at least two codewords")
-    parity = _prefix_parity(words)
-    if len(np.unique(core.bit_row_keys(parity))) < len(words):
-        return 0  # a repeated word; the kernel would skip the pair
-    return ell * int(_kernels.min_cross_u8(parity))
+    return binary_distances(words, ell)[0]
 
 
 def min_complement_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
-    """Minimum distance from one word's encoding to the complement of
-    another's (or its own), skipping pairs where the two are equal.
-
-    The complement of v's encoding encodes v with its leading bit flipped,
-    whose prefix parity is 1 - P(v); the kernel skips distance 0 as well.
-    """
-    parity = _prefix_parity(words)
-    return ell * int(_kernels.min_cross_u8(parity, 1 - parity))
+    """The complement minimum of :func:`binary_distances`."""
+    return binary_distances(words, ell)[1]
 
 
 # ---------------------------------------------------------------------------

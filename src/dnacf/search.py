@@ -17,7 +17,6 @@ import numpy as np
 
 from . import _kernels, core
 from ._kernels import InstanceTooLargeError  # noqa: F401  (re-exported for the CLI)
-from .constraints import DnaCode, verify_code
 
 
 @dataclass(frozen=True)
@@ -269,16 +268,3 @@ def _max_weight_clique(weights: list[int], adj: list[int]) -> int:
 
     expand((1 << v_count) - 1, 0)
     return best
-
-
-def verify_table(table: BoundTable) -> bool:
-    """Check every stored code against its bucket's distance floor."""
-    for d, entry in table.buckets.items():
-        report = verify_code(DnaCode(entry.code), claimed_d=d)
-        if report.min_hamming < d and report.size > 1:
-            return False
-        if not (report.reverse_ok and report.reverse_complement_ok and report.complement_ok):
-            return False
-        if report.gc_constant != table.spec.g:
-            return False
-    return True

@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dnacf
 from dnacf import _kernels, factory, isomap, reference
 from dnacf.cli import main, read_code_file
 
@@ -18,6 +22,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_imports_only_stdlib_and_numpy():
+    # the CLI's start-up cost: a fresh interpreter importing dnacf.cli may
+    # load the standard library, NumPy and dnacf, and nothing else
+    probe = (
+        "import sys; before = set(sys.modules); import dnacf.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    src = str(Path(dnacf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert "dnacf" in out and "numpy" in out
+    assert set(out) - set(sys.stdlib_module_names) == {"dnacf", "numpy"}
 
 
 def test_seeds_command(tmp_path, capsys):

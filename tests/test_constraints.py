@@ -1,10 +1,10 @@
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dnacf import core
+from dnacf import _kernels, bincodes, core
 from dnacf.constraints import (
     ConstraintReport,
     DnaCode,
@@ -15,6 +15,8 @@ from dnacf.constraints import (
     is_rc_substring_free,
     verify_code,
 )
+from dnacf.factory import build_dna_code
+from dnacf.isomap import BlockPair, default_pair
 
 dna = st.text(alphabet="ACGT", min_size=2, max_size=80)
 
@@ -278,3 +280,60 @@ def small_codes(draw):
 def test_verify_code_matches_naive_oracle(case):
     words, claimed_d = case
     assert verify_code(words, claimed_d=claimed_d).to_dict() == naive_report(words, claimed_d)
+
+
+# ---------------------------------------------------------------------------
+# verify_code's matrix scans against the string predicates
+# ---------------------------------------------------------------------------
+
+@st.composite
+def long_word_codes(draw):
+    """Up to 30 distinct words of length 1..70; a quarter of the draws are
+    low-entropy: two letters, a repeated block, a palindrome, or a word equal
+    to its own reverse-complement (at odd n, but for the middle base).  The
+    rest are uniform words, or walks whose steps never repeat a base, so that
+    conflict levels above 0 are common and the code's level varies by row."""
+    n = draw(st.integers(1, 70))
+    half, mid = n // 2, n % 2
+    walk = st.lists(st.integers(1, 3), min_size=n, max_size=n).map(
+        lambda steps: "".join("ACGT"[v % 4] for v in accumulate(steps)))
+    word = st.one_of(st.text(alphabet="ACGT", min_size=n, max_size=n), walk)
+    low = st.one_of(
+        st.sampled_from(["AT", "CG", "AC", "GT", "AG"]).flatmap(
+            lambda ab: st.text(alphabet=ab, min_size=n, max_size=n)),
+        st.text(alphabet="ACGT", min_size=1, max_size=5).map(lambda b: (b * n)[:n]),
+        word.map(lambda w: w[:half + mid] + w[:half][::-1]),
+        word.map(lambda w: w[:half + mid] + core.reverse_complement(w[:half])),
+    )
+    kind = st.integers(0, 3).flatmap(lambda k: low if k == 0 else word)
+    words = draw(st.lists(kind, min_size=1, max_size=30))
+    return list(dict.fromkeys(words))
+
+
+def _assert_matrix_scans_match_strings(words, report):
+    gcs = {core.gc_content(w) for w in words}
+    assert report.gc_constant == (gcs.pop() if len(gcs) == 1 else None)
+    assert report.conflict_free_level == min(conflict_free_level(w) for w in words)
+    assert report.hairpin_free == all(is_rc_substring_free(w) for w in words)
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@given(words=long_word_codes())
+def test_verify_code_matrix_scans_match_string_predicates(chunk, words):
+    # a 64-cell chunk puts every row in a chunk of its own, so the first
+    # repeat or hairpin often lies in a later chunk
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:
+            mp.setattr(_kernels, "PAIR_CHUNK", chunk)
+        _assert_matrix_scans_match_strings(words, verify_code(words))
+
+
+@pytest.mark.parametrize("code, pair", [
+    (bincodes.golay_23_12(), BlockPair("ATA", "CGC")),
+    (bincodes.reed_muller_code(1, 5), default_pair(4)),
+    (bincodes.reed_muller_code(1, 7), default_pair(3)),
+])
+@pytest.mark.parametrize("h0", ["x", "yc"])
+def test_verify_code_matrix_scans_on_encoded_codes(code, pair, h0):
+    dna, report = build_dna_code(code, pair, h0=h0, require=("conflict", "gc_balanced"))
+    _assert_matrix_scans_match_strings(dna.words, report.constraint_report)

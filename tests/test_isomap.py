@@ -12,6 +12,7 @@ from dnacf.isomap import (
     append_distance_bound,
     binary_complete_conflict_condition,
     binary_distance,
+    binary_distances,
     default_pair,
     BLOCK_NAMES,
     encode,
@@ -148,6 +149,16 @@ def test_min_binary_distance_of_a_repeated_word_is_zero():
     assert min_binary_distance(["0110", "1011", "0110"], 3) == 0
     assert min_binary_distance([[0, 1, 1], [0, 1, 1]], 2) == 0
     assert min_binary_distance(["0110", "1011", "0111"], 3) == 3
+    assert binary_distances(["0110", "1011", "0110"], 3) == (0, 6)
+
+
+def test_min_binary_distance_reads_any_memory_order():
+    rng = np.random.default_rng(5)
+    mat = rng.integers(0, 2, size=(50, 23), dtype=np.uint8)
+    fortran = np.asfortranarray(mat)
+    assert (core.bit_row_keys(fortran) == core.bit_row_keys(mat)).all()
+    assert binary_distances(fortran, 2) == binary_distances(mat, 2)
+    assert min_binary_distance(fortran, 2) == min_binary_distance(mat, 2)
 
 
 def _flip_lead(a):
@@ -193,6 +204,7 @@ def test_pair_scans_pinned(name, ell, expected):
     }[name]()
     words = enumerate_codewords(code)
     assert (min_binary_distance(words, ell), min_complement_distance(words, ell)) == expected
+    assert binary_distances(words, ell) == expected
 
 
 def test_isometry_exhaustive_small():

@@ -332,12 +332,17 @@ def test_run_trials_ignores_batch_boundaries(law, monkeypatch):
             assert _same_trials(_kernels.run_trials(*args), want), (n, cap)
 
 
-def _brute_min(a, b=None):
-    """The pair scan's answer by byte comparison of every row pair: over i < j
-    for ``b=None``, else over every pair at nonzero distance; n + 1 if none."""
-    d = (a[:, None, :] != (a if b is None else b)[None, :, :]).sum(axis=2)
-    d = d[np.triu_indices(len(a), 1)] if b is None else d[d > 0]
-    return int(d.min()) if d.size else a.shape[1] + 1
+def _brute_min(a, reverse=False):
+    """Both minima of the pair scan by byte comparison of every ordered row
+    pair (i, j): of d(a_i, b_j) and of d(a_i, 3 - b_j), b the rows of ``a``,
+    reversed for ``reverse``, skipping distance 0; n + 1 where none is left."""
+    b = a[:, ::-1] if reverse else a
+    out = []
+    for t in (b, 3 - b):
+        d = (a[:, None, :] != t[None, :, :]).sum(axis=2)
+        d = d[d > 0]
+        out.append(int(d.min()) if d.size else a.shape[1] + 1)
+    return tuple(out)
 
 
 def _distinct_rows(rng, m, n):
@@ -345,19 +350,24 @@ def _distinct_rows(rng, m, n):
 
 
 def test_min_pairwise_parity():
-    # b=None: the distinct row pairs, against a brute-force scan of every pair
+    # both modes against a pure-Python scan of every ordered pair of strings
     rng = np.random.default_rng(9)
+    comp = str.maketrans("0123", "3210")
     for m, n in [(2, 4), (10, 6), (40, 21), (100, 9)]:
         mat = _distinct_rows(rng, m, n)
-        brute = min(
-            int((mat[i] != mat[j]).sum()) for i in range(len(mat)) for j in range(i + 1, len(mat))
-        )
-        assert int(_kernels.min_cross_u8(mat)) == brute
+        words = ["".join(map(str, row)) for row in mat]
+        for reverse in (False, True):
+            partners = [w[::-1] if reverse else w for w in words]
+            want = []
+            for ys in (partners, [y.translate(comp) for y in partners]):
+                d = [sum(p != q for p, q in zip(x, y)) for x in words for y in ys]
+                want.append(min((v for v in d if v > 0), default=n + 1))
+            assert _kernels.min_cross_u8(mat, reverse) == tuple(want)
 
 
 # word boundaries (32 positions per uint64 word) and accumulator boundaries
-# (uint8 up to n = 255, uint16 above)
-BOUNDARY_LENGTHS = (1, 31, 32, 33, 64, 65, 255, 256)
+# (uint8 up to n = 255, uint16 above; 2n leaves uint8 past 127)
+BOUNDARY_LENGTHS = (1, 31, 32, 33, 64, 65, 127, 128, 255, 256)
 
 
 @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
@@ -366,80 +376,101 @@ def test_pair_scan_matches_brute_force_at_boundaries(n, monkeypatch):
     monkeypatch.setattr(_kernels, "PAIR_CHUNK", 50)  # several chunks of rows
     for m in (1, 2, 30):
         mat = _distinct_rows(rng, m, n)
-        other = rng.integers(0, 4, size=(m + 3, n), dtype=np.uint8)
-        other[: len(mat) // 2] = mat[: len(mat) // 2]  # identical rows to skip
-        assert _kernels.min_cross_u8(mat) == _brute_min(mat)
-        assert _kernels.min_cross_u8(mat, other) == _brute_min(mat, other)
-        assert _kernels.min_cross_u8(other, mat) == _brute_min(other, mat)
-        # binary rows (prefix parities) use the same layout
-        assert _kernels.min_cross_u8(mat & 1, 1 - (mat & 1)) == _brute_min(mat & 1, 1 - (mat & 1))
-    # the extremes: every position differs (d = n), and no pair left (n + 1)
+        half = mat[: len(mat) // 2]
+        cases = (
+            mat,
+            np.vstack([mat, half]),  # identical rows to skip
+            np.vstack([mat, 3 - half, half[:, ::-1], 3 - half[:, ::-1]]),  # transformed partners
+            3 * (mat & 1),  # prefix parities, scaled to 0/3
+        )
+        for case in cases:
+            for reverse in (False, True):
+                assert _kernels.min_cross_u8(case, reverse) == _brute_min(case, reverse)
+    # the skips and the extremes: every position differs (n), no pair left (n + 1)
     row = rng.integers(0, 4, size=(1, n), dtype=np.uint8)
-    assert _kernels.min_cross_u8(row, 3 - row) == n
-    assert _kernels.min_cross_u8(np.vstack([row, 3 - row])) == n
-    assert _kernels.min_cross_u8(row, np.vstack([row, row])) == n + 1
-    assert _kernels.min_cross_u8(row) == n + 1
-    assert _kernels.min_cross_u8(row, row[:0]) == n + 1
+    assert _kernels.min_cross_u8(row) == (n + 1, n)  # a word is n from its own complement
+    assert _kernels.min_cross_u8(row[:0]) == _kernels.min_cross_u8(row[:0], True) == (n + 1, n + 1)
+    assert _kernels.min_cross_u8(np.vstack([row, row])) == (n + 1, n)  # identical
+    assert _kernels.min_cross_u8(np.vstack([row, 3 - row])) == (n, n)  # complement
+    palindrome = row.copy()
+    palindrome[0, n - n // 2:] = row[0, : n // 2][::-1]
+    assert _kernels.min_cross_u8(palindrome, True) == (n + 1, n)
+    if n % 2 == 0:
+        self_rc = row.copy()
+        self_rc[0, n // 2:] = 3 - row[0, : n // 2][::-1]
+        assert _kernels.min_cross_u8(self_rc, True) == (n, n + 1)
 
 
 def test_pair_scan_over_many_default_chunks():
     # 700 x 700 pairs span several chunks of PAIR_CHUNK pairs in both modes
     rng = np.random.default_rng(12)
     mat = _distinct_rows(rng, 700, 9)
-    other = rng.integers(0, 4, size=(650, 9), dtype=np.uint8)
-    other[::7] = mat[:93]
-    assert len(mat) * len(other) > 3 * _kernels.PAIR_CHUNK
-    assert _kernels.min_cross_u8(mat) == _brute_min(mat)
-    assert _kernels.min_cross_u8(mat, other) == _brute_min(mat, other)
+    mat[::7] = 3 - mat[1::7][: len(mat[::7])]  # complement partners to skip
+    assert len(mat) * len(mat) > 3 * _kernels.PAIR_CHUNK
+    for reverse in (False, True):
+        assert _kernels.min_cross_u8(mat, reverse) == _brute_min(mat, reverse)
+
+
+# the transform t of a planted partner, and the (mode, minimum) it pulls to 1
+PLANTS = {
+    "hamming": (lambda w: w, False, 0),
+    "complement": (lambda w: 3 - w, False, 1),
+    "reverse": (lambda w: w[::-1], True, 0),
+    "reverse_complement": (lambda w: 3 - w[::-1], True, 1),
+}
 
 
 @pytest.mark.parametrize("where", [0, 1, -2, -1])
 def test_pair_scan_finds_a_planted_distance_one_pair(where, monkeypatch):
-    # rows pairwise at distance >= 3 (a repetition code), one pair planted at
-    # distance 1 in the first chunk, early, late or in the last chunk
+    # rows whose four minima are all >= 3 (a repetition code), one row planted
+    # at distance 1 from the transform of another, in the first chunk, early,
+    # late or in the last chunk
     monkeypatch.setattr(_kernels, "PAIR_CHUNK", 64)
     rng = np.random.default_rng(13)
-    base = _distinct_rows(rng, 200, 5)
-    mat = np.repeat(base, 3, axis=1)
-    assert _brute_min(mat) >= 3
-    i = np.arange(len(mat))[where]
-    j = (i + 1) % len(mat) if where >= 0 else i - 1
-    mat[j] = mat[i]
-    mat[j, 0] = (mat[i, 0] + 1) % 4
-    assert _brute_min(mat) == 1
-    assert _kernels.min_cross_u8(mat) == 1
-    assert _kernels.min_cross_u8(mat, mat[::-1].copy()) == 1
-    assert _kernels.min_cross_u8(mat[[i]], mat) == 1
+    base = np.repeat(_distinct_rows(rng, 200, 5), 3, axis=1)
+    assert min(_brute_min(base) + _brute_min(base, True)) >= 3
+    i = np.arange(len(base))[where]
+    j = (i + 1) % len(base) if where >= 0 else i - 1
+    for transform, reverse, slot in PLANTS.values():
+        mat = base.copy()
+        mat[j] = transform(mat[i])
+        mat[j, 0] = (mat[j, 0] + 1) % 4
+        want = _brute_min(mat, reverse)
+        assert want[slot] == 1
+        assert _kernels.min_cross_u8(mat, reverse) == want
 
 
 def test_pair_scan_refuses_before_packing(monkeypatch):
     a = np.zeros((6, 40), dtype=np.uint8)  # two words per row
-    b = np.ones((5, 40), dtype=np.uint8)
-    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 5 * 2)
-    assert _kernels.min_cross_u8(a, b) == 40
-    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 5 * 2 - 1)
+    a[np.arange(6), np.arange(6)] = 1
+    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 6 * 2)
+    assert _kernels.min_cross_u8(a) == _brute_min(a) == (2, 40)
+    assert _kernels.min_cross_u8(a, True) == _brute_min(a, True)
+    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 6 * 2 - 1)
 
     def no_packing(mat):
         raise AssertionError("packed past the limit")
 
     monkeypatch.setattr(_kernels, "_pack_rows", no_packing)
-    with pytest.raises(_kernels.InstanceTooLargeError):
-        _kernels.min_cross_u8(a, b)
-    monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 6 * 2 - 1)
-    with pytest.raises(_kernels.InstanceTooLargeError):
-        _kernels.min_cross_u8(a)
+    for reverse in (False, True):
+        with pytest.raises(_kernels.InstanceTooLargeError):
+            _kernels.min_cross_u8(a, reverse)
 
 
 def test_min_cross_parity_and_skip_rule():
-    # against a brute-force scan of every row pair
+    # rows with repeats, complements, reverses and reverse-complements of
+    # other rows, against a pure-Python scan of every ordered pair
     rng = np.random.default_rng(10)
     for m, n in [(5, 4), (30, 7)]:
         a = rng.integers(0, 4, size=(m, n), dtype=np.uint8)
-        b = a[::-1].copy()  # guarantees some identical rows to skip
-        dists = [
-            int((a[i] != b[j]).sum())
-            for i in range(m)
-            for j in range(m)
-            if (a[i] != b[j]).any()
-        ]
-        assert int(_kernels.min_cross_u8(a, b)) == min(dists)
+        a = np.vstack([a, a[::2], 3 - a[:2], a[2:4, ::-1], 3 - a[4:6, ::-1]])
+        for reverse in (False, True):
+            b = a[:, ::-1] if reverse else a
+            want = [
+                min(
+                    (int((x != y).sum()) for x in a for y in ys if (x != y).any()),
+                    default=n + 1,
+                )
+                for ys in (b, 3 - b)
+            ]
+            assert _kernels.min_cross_u8(a, reverse) == tuple(want)

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from dnacf import core, reference
-from dnacf.constraints import verify_code
+from dnacf.constraints import DnaCode, verify_code
 from dnacf.search import (
     InstanceTooLargeError,
     SearchConfig,
@@ -13,10 +13,22 @@ from dnacf.search import (
     extremal_size,
     orbit_closure,
     random_construction,
-    verify_table,
 )
 
 sys.setrecursionlimit(100_000)
+
+
+def verify_table(table):
+    """Check every stored code against its bucket's distance floor."""
+    for d, entry in table.buckets.items():
+        report = verify_code(DnaCode(entry.code), claimed_d=d)
+        if report.min_hamming < d and report.size > 1:
+            return False
+        if not (report.reverse_ok and report.reverse_complement_ok and report.complement_ok):
+            return False
+        if report.gc_constant != table.spec.g:
+            return False
+    return True
 
 
 def test_seed_set_worked_example():
