@@ -1,10 +1,12 @@
 """Recursive block encoding of binary strings into DNA, and its metric.
 
 A block pair (x, y) of equal length ell, together with the complements xc
-and yc, forms a four-letter block alphabet.  Bits are encoded one block at a
-time through a fixed transition table; the resulting map is an isometry
-between binary strings under the support-gap distance implemented here and
-DNA strings under Hamming distance.
+and yc, forms a four-letter block alphabet.  Each bit becomes one block under
+the published transition table, which the encoder evaluates in closed form:
+block classes alternate from the start block's, and a block is complemented
+by the word's prefix parity.  The map is an isometry between binary strings
+under the support-gap distance implemented here and DNA strings under
+Hamming distance.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,45 +65,26 @@ class BlockPair:
 
 @dataclass(frozen=True)
 class TransitionMap:
-    """The block transition table plus the initial-block rule.
+    """The published transition table of a block pair, started at h0.
 
-    ``table`` maps (previous block, bit) to the next block; ``start`` is the
-    block emitted for a leading 0 bit (a leading 1 emits its complement).
+    Bit 0 steps x->y, xc->yc, y->xc, yc->x and bit 1 to the complement of
+    that block; a leading 0 emits h0 and a leading 1 its complement.
     """
 
     pair: BlockPair
-    start: str
-    table: Mapping[tuple[str, int], str]
+    h0: str = "x"
+
+    def __post_init__(self) -> None:
+        if self.h0 not in BLOCK_NAMES:
+            raise ValueError(f"h0 must be one of {BLOCK_NAMES}")
 
     @classmethod
     def standard(cls, pair: BlockPair, h0: str = "x") -> "TransitionMap":
-        """The fixed published table: x->y, xc->yc, y->xc, yc->x under bit 0,
-        and the complement of that block under bit 1."""
-        b = pair.blocks()
-        if h0 not in BLOCK_NAMES:
-            raise ValueError(f"h0 must be one of {BLOCK_NAMES}")
-        table = {
-            (b["x"], 0): b["y"],
-            (b["x"], 1): b["yc"],
-            (b["xc"], 0): b["yc"],
-            (b["xc"], 1): b["y"],
-            (b["y"], 0): b["xc"],
-            (b["y"], 1): b["x"],
-            (b["yc"], 0): b["x"],
-            (b["yc"], 1): b["xc"],
-        }
-        return cls(pair=pair, start=b[h0], table=table)
-
-    def transition(self, prev: str, bit: int) -> str:
-        key = (prev, int(bit))
-        if key not in self.table:
-            raise ValueError(f"unknown block {prev!r}")
-        return self.table[key]
+        return cls(pair, h0)
 
     def start_class(self) -> str:
         """'x' if encodings beginning with bit 0 start in {x, xc}, else 'y'."""
-        b = self.pair.blocks()
-        return "x" if self.start in (b["x"], b["xc"]) else "y"
+        return "x" if self.h0 in ("x", "xc") else "y"
 
 
 def encode(a: str | Sequence[int], tmap: TransitionMap) -> str:
@@ -112,34 +95,20 @@ def encode(a: str | Sequence[int], tmap: TransitionMap) -> str:
 def encode_all(bits: np.ndarray, tmap: TransitionMap) -> list[str]:
     """Encode every row of a 0/1 matrix, as :func:`encode` does one word.
 
-    The table is walked one bit column at a time for all rows, holding a
-    block index per row; the blocks are gathered and decoded once.
+    Block j's class alternates from h0's, and it is complemented when the
+    prefix parity P_j differs from h0's flag plus the number of y-class
+    blocks before j, mod 2.  So each block is one gather from
+    [x, xc, y, yc] at 2 * class + flag.
     """
-    m, n = bits.shape
+    n = bits.shape[1]
     if n == 0:
         raise ValueError("empty binary string")
-    if ((bits & 1) != bits).any():
-        raise ValueError("not a 0/1 matrix")
-    # blocks 0 and 1 are the start block and its complement, emitted for a
-    # leading 0 and a leading 1; the last index marks a missing table entry
-    # and stays put, so a row that met one ends on it
-    blocks = list(dict.fromkeys([tmap.start, core.complement(tmap.start),
-                                 *(prev for prev, _ in tmap.table), *tmap.table.values()]))
-    index = {block: i for i, block in enumerate(blocks)}
-    lost = len(blocks)
-    nxt = np.full((lost + 1, 2), lost, dtype=np.uint8)
-    for (prev, bit), block in tmap.table.items():
-        nxt[index[prev], bit] = index[block]
-    walk = np.empty((m, n), dtype=np.uint8)
-    walk[:, 0] = bits[:, 0]
-    for j in range(1, n):
-        walk[:, j] = nxt[walk[:, j - 1], bits[:, j]]
-    stuck = walk[:, -1] == lost
-    if stuck.any():
-        row = walk[stuck.argmax()]
-        raise ValueError(f"unknown block {blocks[row[(row == lost).argmax() - 1]]!r}")
-    text = np.frombuffer("".join(blocks).encode("ascii"), dtype=np.uint8).reshape(len(blocks), -1)
-    return core.rows_text(text[walk].reshape(m, -1))
+    j = np.arange(n) + (tmap.start_class() == "y")
+    column = 2 * (j & 1) + ((j // 2 + (tmap.h0 in ("xc", "yc"))) & 1)
+    index = _prefix_parity(bits) ^ column.astype(np.uint8)
+    blocks = "".join(tmap.pair.blocks().values()).encode("ascii")
+    text = np.frombuffer(blocks, dtype=np.uint8).reshape(4, -1)
+    return core.rows_text(text[index].reshape(len(bits), -1))
 
 
 def image_set(n: int, tmap: TransitionMap) -> set[str]:
@@ -175,11 +144,13 @@ def _prefix_parity(words: Sequence[str | Sequence[int]]) -> np.ndarray:
     """One uint8 row per word: bit i is the parity of the word's first i + 1
     bits.  The support-gap distance of two words is ell times the Hamming
     distance of their rows, because the gap sum counts the positions whose
-    prefix parity differs.  A uint8 0/1 matrix is read as it is; any other
-    sequence of words is parsed here."""
+    prefix parity differs.  A 0/1 matrix is checked and read as it is; any
+    other sequence of words is parsed here."""
     if not isinstance(words, np.ndarray):
         words = np.array([_bits(w) for w in words], dtype=np.uint8)
-    return np.bitwise_xor.accumulate(words, axis=1)
+    elif ((words & 1) != words).any():
+        raise ValueError("not a 0/1 matrix")
+    return np.bitwise_xor.accumulate(words, axis=1, dtype=np.uint8)
 
 
 def binary_distances(words: Sequence[str | Sequence[int]], ell: int) -> tuple[int, int]:

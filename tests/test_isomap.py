@@ -46,23 +46,40 @@ def test_block_pair_validation():
         BlockPair("AT", "ACG")
 
 
+# the published transition table by block name: (previous block, bit) -> next
+PUBLISHED_TABLE = {
+    ("x", 0): "y", ("x", 1): "yc",
+    ("xc", 0): "yc", ("xc", 1): "y",
+    ("y", 0): "xc", ("y", 1): "x",
+    ("yc", 0): "x", ("yc", 1): "xc",
+}
+FLIPPED = {"x": "xc", "xc": "x", "y": "yc", "yc": "y"}
+
+
+def _table_of(pair):
+    b = pair.blocks()
+    return {(b[prev], bit): b[nxt] for (prev, bit), nxt in PUBLISHED_TABLE.items()}
+
+
 def test_transition_table_worked_example():
-    tm = TransitionMap.standard(PAIR_CG_AT, "x")
-    assert tm.transition("CG", 0) == "AT"
-    assert tm.transition("TA", 1) == "GC"
-    assert tm.transition("CG", 1) == "TA"  # bit 1 gives the complement block
-    with pytest.raises(ValueError):
-        tm.transition("AA", 0)
+    table = _table_of(PAIR_CG_AT)
+    assert table["CG", 0] == "AT"
+    assert table["TA", 1] == "GC"
+    assert table["CG", 1] == "TA"  # bit 1 gives the complement block
+    assert TransitionMap.standard(PAIR_CG_AT).start_class() == "x"
+    assert TransitionMap.standard(PAIR_CG_AT, "yc").start_class() == "y"
+    with pytest.raises(ValueError, match="h0"):
+        TransitionMap.standard(PAIR_CG_AT, "z")
 
 
 def test_transition_complement_symmetry():
     for pair in (PAIR_CG_AT, PAIR_ATA_CGC):
-        tm = TransitionMap.standard(pair, "x")
+        table = _table_of(pair)
         for blk in pair.blocks().values():
             for bit in (0, 1):
-                nxt = tm.transition(blk, bit)
-                assert tm.transition(core.complement(blk), bit) == core.complement(nxt)
-                assert tm.transition(blk, 1 - bit) == core.complement(nxt)
+                nxt = table[blk, bit]
+                assert table[core.complement(blk), bit] == core.complement(nxt)
+                assert table[blk, 1 - bit] == core.complement(nxt)
 
 
 def test_encode_worked_example():
@@ -70,15 +87,22 @@ def test_encode_worked_example():
     assert encode("011", tm) == "CGTAGC"
     assert encode("0", tm) == "CG"
     assert encode("1", tm) == "GC"
+    with pytest.raises(ValueError, match="empty"):
+        encode("", tm)
+    with pytest.raises(ValueError, match="0/1"):
+        encode_all(np.array([[0, 2, 1]]), tm)
+    with pytest.raises(ValueError, match="0/1"):
+        encode_all(np.array([[0, -1]]), tm)
 
 
-def _scalar_encode(a, tmap):
-    # the table walk word by word: the leading bit picks the start block or
+def _scalar_encode(a, pair, h0):
+    # the published table walked word by word: the leading bit picks h0 or
     # its complement, every later bit one table entry
-    blocks = [tmap.start if a[0] == "0" else core.complement(tmap.start)]
+    names = [h0 if a[0] == "0" else FLIPPED[h0]]
     for bit in a[1:]:
-        blocks.append(tmap.transition(blocks[-1], int(bit)))
-    return "".join(blocks)
+        names.append(PUBLISHED_TABLE[names[-1], int(bit)])
+    blocks = pair.blocks()
+    return "".join(blocks[name] for name in names)
 
 
 def _bit_rows(words):
@@ -88,33 +112,15 @@ def _bit_rows(words):
 @pytest.mark.parametrize("pair", [PAIR_ATA_CGC, PAIR_CG_AT, default_pair(4)], ids=str)
 def test_encode_all_matches_scalar_walk(pair):
     rng = random.Random(5)
+    batches = [list(all_bits(n)) for n in range(1, 9)]
+    for n in (23, 64):
+        batches.append(["".join(rng.choice("01") for _ in range(n)) for _ in range(50)])
+    # few long words: two rows of 2^16 bits
+    batches.append([format(rng.getrandbits(1 << 16), "065536b") for _ in range(2)])
     for h0 in BLOCK_NAMES:
         tm = TransitionMap.standard(pair, h0)
-        batches = [list(all_bits(n)) for n in range(1, 9)]
-        for n in (23, 64):
-            batches.append(["".join(rng.choice("01") for _ in range(n)) for _ in range(50)])
         for words in batches:
-            assert encode_all(_bit_rows(words), tm) == [_scalar_encode(a, tm) for a in words]
-
-
-def test_encode_all_walks_any_table():
-    # a table that never complements: bit 0 and bit 1 both step x -> y -> x
-    b = PAIR_CG_AT.blocks()
-    table = {(blk, bit): (b["y"] if blk in (b["x"], b["xc"]) else b["x"])
-             for blk in b.values() for bit in (0, 1)}
-    tm = TransitionMap(pair=PAIR_CG_AT, start=b["x"], table=table)
-    words = list(all_bits(4))
-    assert encode_all(_bit_rows(words), tm) == [_scalar_encode(a, tm) for a in words]
-    partial = TransitionMap(pair=PAIR_CG_AT, start=b["x"], table={(b["x"], 0): b["y"]})
-    assert encode("00", partial) == "CGAT"
-    with pytest.raises(ValueError, match="unknown block 'AT'"):
-        encode("000", partial)
-    with pytest.raises(ValueError, match="empty"):
-        encode("", partial)
-    with pytest.raises(ValueError, match="0/1"):
-        encode_all(np.array([[0, 2, 1]]), tm)
-    with pytest.raises(ValueError, match="0/1"):
-        encode_all(np.array([[0, -1]]), tm)
+            assert encode_all(_bit_rows(words), tm) == [_scalar_encode(a, pair, h0) for a in words]
 
 
 def test_image_set():
@@ -159,6 +165,13 @@ def test_min_binary_distance_reads_any_memory_order():
     assert (core.bit_row_keys(fortran) == core.bit_row_keys(mat)).all()
     assert binary_distances(fortran, 2) == binary_distances(mat, 2)
     assert min_binary_distance(fortran, 2) == min_binary_distance(mat, 2)
+    # a matrix that is not 0/1 is refused, as the scalar distance refuses it
+    bad = np.array([[0, 2, 1], [0, 0, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError):
+        binary_distance(bad[0], bad[1], 1)
+    for scan in (binary_distances, min_binary_distance, min_complement_distance):
+        with pytest.raises(ValueError, match="0/1"):
+            scan(bad, 1)
 
 
 def _flip_lead(a):
