@@ -7,8 +7,9 @@ batch of trials as array expressions over counter-based SplitMix64 streams,
 at most :data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free partial
 Fisher-Yates; it hands back the closure behind each bucket, so witnesses need
 no second pass over the draws.  The search's distance work goes through one
-orbit-distance matrix (:func:`orbit_distances`), built from member columns
-padded to the widest orbit; its size is capped by :data:`DIST_MEMORY_LIMIT`.
+orbit-distance matrix (:func:`orbit_distances`), built from the group's
+images of each orbit's representative; its size is capped by
+:data:`DIST_MEMORY_LIMIT`.
 
 Packed layout: two bits per base, leftmost base most significant, so packed
 values ascend in lexicographic string order.
@@ -219,19 +220,20 @@ def min_cross_u8(a, reverse=False):
     return best, best_comp
 
 
-def orbit_distances(vals, orb_ptr, orb_members, n):
+def orbit_distances(images, n):
     """Minimum Hamming distance between every pair of orbits, as uint8.
 
-    ``D[a, b]`` is the smallest distance between a word of orbit a and a word
-    of orbit b; ``D[a, a]`` is the smallest inside orbit a, and ``n + 1`` for a
-    singleton.  The orbits come from maps that preserve distance when applied
-    to both words, so row a only measures a's first member against the
-    others.  Each orbit's member list is padded to the widest orbit by
-    repeating its last member, so ``D`` is the elementwise minimum over a few
-    member columns.  Refuses, before allocating, a matrix larger than
+    ``images`` holds the packed words of :func:`search._orbit_partition`: row
+    0 the orbit representatives, each later row their images under one more
+    group element, so column a lists orbit a's words.  ``D[a, b]`` is the
+    smallest distance between a word of orbit a and a word of orbit b;
+    ``D[a, a]`` is the smallest between distinct words of orbit a, and
+    ``n + 1`` when it has no two.  The group's maps preserve distance when
+    applied to both words, so row a only measures a's representative against
+    every image.  Refuses, before allocating, a matrix larger than
     :data:`DIST_MEMORY_LIMIT`.
     """
-    n_orb = orb_ptr.shape[0] - 1
+    n_orb = images.shape[1]
     if n_orb * n_orb > DIST_MEMORY_LIMIT:
         raise InstanceTooLargeError(
             f"{n_orb} orbits need a {n_orb * n_orb / (1 << 20):.0f} MiB distance matrix; "
@@ -240,10 +242,6 @@ def orbit_distances(vals, orb_ptr, orb_members, n):
     dist = np.empty((n_orb, n_orb), dtype=np.uint8)
     if n_orb == 0:
         return dist
-    sizes = np.diff(orb_ptr)
-    # slot[c, a]: member c of orbit a, the last member repeated past its size
-    slot = orb_members[orb_ptr[:-1] + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)]
-    cols = vals[slot]
     low_mask = LOW_BITS & ((1 << (2 * n)) - 1)
 
     def hamming(x, y):
@@ -252,15 +250,14 @@ def orbit_distances(vals, orb_ptr, orb_members, n):
 
     step = max(1, (1 << 19) // n_orb)  # 4 MiB of int64 words per temporary
     for lo in range(0, n_orb, step):
-        reps = cols[0, lo:lo + step, None]
-        d = hamming(reps, cols[0])
-        for col in cols[1:]:
-            np.minimum(d, hamming(reps, col), out=d)
+        reps = images[0, lo:lo + step, None]
+        d = hamming(reps, images[0])
+        for row in images[1:]:
+            np.minimum(d, hamming(reps, row), out=d)
         dist[lo:lo + step] = d
-    # the diagonal skips the representative's own slots, by index: distinct
-    # members may hold equal words
-    own = hamming(cols[0], cols[1:])
-    own[slot[1:] == slot[0]] = n + 1
+    # on the diagonal, distance 0 is the representative meeting itself
+    own = hamming(images[0], images[1:])
+    own[own == 0] = n + 1
     np.fill_diagonal(dist, own.min(axis=0, initial=n + 1))
     return dist
 
@@ -338,26 +335,27 @@ def _fisher_yates(state, size, used, n_seed):
     return np.where(prev < 0, j, k[root][prev])
 
 
-def run_trials(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
-    """Run the random closure construction; return per-floor best sizes, the
-    trial that first reached each, and that trial's closure as sorted orbit
-    ids, all indexed by distance 0..n (an empty closure where no trial
-    reached the floor).
+def run_trials(vals, orb_of, images, dist, n, trials, master_seed, law):
+    """Run the random closure construction over the seed values ``vals``,
+    their orbits ``orb_of`` and ``images`` (:func:`search._orbit_partition`)
+    and the orbit distances ``dist`` (:func:`orbit_distances`).  Return
+    per-floor best sizes, the trial that first reached each, and that trial's
+    closure as ascending seed values, all indexed by distance 0..n (an empty
+    closure where no trial reached the floor).
 
     Each trial draws a subset size from the law and a partial Fisher-Yates
     subset of seeds, closes it under the orbits, and measures the closure's
-    minimum distance from :func:`orbit_distances`.  The draws and closures of
-    a batch of trials (:data:`DRAW_BATCH_LIMIT`) are NumPy array expressions
-    over the counter-based streams; only the size gate and the distance scan
-    run per trial, in trial order, so the result does not depend on the
-    batching.  Closures that cannot improve any bucket are not measured.
-    Every orbit must have two or more members, as under r and c (the
-    complement changes every base), so a closure's distance never exceeds n.
+    minimum distance in ``dist``.  The draws and closures of a batch of
+    trials (:data:`DRAW_BATCH_LIMIT`) are NumPy array expressions over the
+    counter-based streams; only the size gate and the distance scan run per
+    trial, in trial order, so the result does not depend on the batching.
+    Closures that cannot improve any bucket are not measured.  Every orbit
+    must have two or more members, as under r and c (the complement changes
+    every base), so a closure's distance never exceeds n.
     """
     n_seed = vals.shape[0]
-    n_orb = orb_ptr.shape[0] - 1
-    dist = orbit_distances(vals, orb_ptr, orb_members, n)
-    orb_size = np.diff(orb_ptr)
+    orb_size = np.bincount(orb_of)
+    n_orb = orb_size.size
     best_size = [0] * (n + 1)
     best_trial = [-1] * (n + 1)
     best_orbs = [np.empty(0, dtype=np.int64)] * (n + 1)
@@ -381,4 +379,5 @@ def run_trials(vals, orb_of, orb_ptr, orb_members, n, trials, master_seed, law):
                 # to d_star improves; copies keep no batch array alive
                 for d in range(d_gate, d_star + 1):
                     best_size[d], best_trial[d], best_orbs[d] = size_c, first + b, closure.copy()
-    return np.array(best_size, dtype=np.int64), np.array(best_trial, dtype=np.int64), best_orbs
+    closures = [np.unique(images[:, orbs]) for orbs in best_orbs]
+    return np.array(best_size, dtype=np.int64), np.array(best_trial, dtype=np.int64), closures

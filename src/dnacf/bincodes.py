@@ -65,7 +65,6 @@ class BinaryCode:
     n: int
     words: Optional[tuple[str, ...]] = None
     generator: Optional[np.ndarray] = None
-    declared_distance: Optional[int] = None
 
     def __post_init__(self) -> None:
         if (self.words is None) == (self.generator is None):
@@ -153,11 +152,11 @@ def measured_min_distance(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> i
 def repetition_code(n: int) -> BinaryCode:
     if n < 1:
         raise ValueError("n must be positive")
-    return BinaryCode(name=f"repetition{n}", n=n, words=("0" * n, "1" * n), declared_distance=n)
+    return BinaryCode(name=f"repetition{n}", n=n, words=("0" * n, "1" * n))
 
 
 def hamming_7_4() -> BinaryCode:
-    return BinaryCode(name="hamming74", n=7, words=HAMMING_7_4_WORDS, declared_distance=3)
+    return BinaryCode(name="hamming74", n=7, words=HAMMING_7_4_WORDS)
 
 
 def reed_muller(r: int, m: int) -> np.ndarray:
@@ -188,9 +187,9 @@ def reed_muller_code(r: int, m: int) -> BinaryCode:
                                 f"exceeds the enumeration limit of {ENUMERATION_LIMIT} bits")
     gen = reed_muller(r, m)
     assert gen.shape == (dim, 1 << m)
-    return BinaryCode(name=f"rm({r},{m})", n=1 << m, generator=gen, declared_distance=1 << (m - r))
+    return BinaryCode(name=f"rm({r},{m})", n=1 << m, generator=gen)
 
 
 def golay_23_12() -> BinaryCode:
     gen = np.array([[int(c) for c in row] for row in GOLAY_23_12_ROWS], dtype=np.uint8)
-    return BinaryCode(name="golay23", n=23, generator=gen, declared_distance=7)
+    return BinaryCode(name="golay23", n=23, generator=gen)

@@ -115,7 +115,7 @@ def build_dna_code(
         if not getattr(flags, flag):
             raise BuildRefusedError(f"pair ({pair.x},{pair.y}) lacks {flag} for claim {claim!r}")
 
-    tmap = TransitionMap.standard(pair, h0)
+    tmap = TransitionMap(pair, h0)
     bits = codeword_matrix(code)
     n_bits, ell = code.n, pair.ell
     dna = DnaCode(tuple(encode_all(bits, tmap)))

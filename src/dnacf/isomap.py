@@ -78,10 +78,6 @@ class TransitionMap:
         if self.h0 not in BLOCK_NAMES:
             raise ValueError(f"h0 must be one of {BLOCK_NAMES}")
 
-    @classmethod
-    def standard(cls, pair: BlockPair, h0: str = "x") -> "TransitionMap":
-        return cls(pair, h0)
-
     def start_class(self) -> str:
         """'x' if encodings beginning with bit 0 start in {x, xc}, else 'y'."""
         return "x" if self.h0 in ("x", "xc") else "y"
@@ -175,11 +171,6 @@ def min_binary_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
     if len(words) < 2:
         raise ValueError("need at least two codewords")
     return binary_distances(words, ell)[0]
-
-
-def min_complement_distance(words: Sequence[str | Sequence[int]], ell: int) -> int:
-    """The complement minimum of :func:`binary_distances`."""
-    return binary_distances(words, ell)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +372,7 @@ def encodes_to_complete_conflict_free(a: str | Sequence[int], tmap: TransitionMa
 @lru_cache(maxsize=8)
 def default_pair(ell: int) -> BlockPair:
     """Lexicographically first fully valid pair for a block length."""
-    for pair in enumerate_valid_pairs(ell):
-        if validate_pair(pair).fully_valid:
-            return pair
-    raise ValueError(f"no fully valid pair at ell={ell}")
+    pairs = enumerate_valid_pairs(ell)
+    if not pairs:
+        raise ValueError(f"no fully valid pair at ell={ell}")
+    return pairs[0]

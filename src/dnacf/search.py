@@ -118,29 +118,27 @@ class BoundTable:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _orbit_partition(
-    vals: np.ndarray, n: int, ops: Iterable[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR partition of seed values into orbits under the group generated by
+def _orbit_partition(vals: np.ndarray, n: int, ops: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Partition of seed values into orbits under the group generated by
     ``ops`` (any of "r", "c", "rc"; other names are ignored).
 
-    Returns ``orb_of`` (orbit of each seed), ``orb_ptr`` (start offsets) and
-    ``orb_members`` (seed indices, orbit by orbit).  Orbits are numbered by
-    their smallest value and list their members ascending.  The seed set must
-    be closed under the maps.
+    Returns ``orb_of``, the orbit of each seed, and ``images``, one row per
+    group element, identity first: ``images[g, a]`` is the packed image of
+    orbit a's smallest word under element g, so column a lists orbit a's
+    words, with repeats when a map fixes them.  Orbits are numbered by their
+    smallest word.  The seed set must be closed under the maps.
     """
     ops = set(ops) & {"r", "c", "rc"}
     mask = (1 << (2 * n)) - 1
     rev = core.reverse_packed(vals, n)
-    images = {"r": rev, "c": vals ^ mask, "rc": rev ^ mask}
+    maps = {"r": rev, "c": vals ^ mask, "rc": rev ^ mask}
     # any two of r, c, rc generate all three
-    group = [images[op] for op in sorted(images if len(ops) > 1 else ops)]
-    if not all(np.isin(img, vals).all() for img in group):
+    group = [vals] + [maps[op] for op in sorted(maps if len(ops) > 1 else ops)]
+    if not all(np.isin(img, vals).all() for img in group[1:]):
         raise ValueError("seed set not closed under the requested maps")
-    _, orb_of = np.unique(np.minimum.reduce([vals, *group]), return_inverse=True)
-    orb_members = np.argsort(orb_of, kind="stable")
-    orb_ptr = np.concatenate([[0], np.cumsum(np.bincount(orb_of))])
-    return orb_of, orb_ptr, orb_members
+    # vals ascend, so each orbit first occurs at its smallest word
+    _, first, orb_of = np.unique(np.minimum.reduce(group), return_index=True, return_inverse=True)
+    return orb_of, np.stack([img[first] for img in group])
 
 
 def random_construction(spec: SeedSetSpec, config: SearchConfig) -> BoundTable:
@@ -149,16 +147,16 @@ def random_construction(spec: SeedSetSpec, config: SearchConfig) -> BoundTable:
     vals = _kernels.enumerate_seed_values(spec.n, spec.ell, spec.g)
     if vals.size == 0:
         raise ValueError(f"empty seed set for {spec}")
-    orb_of, orb_ptr, orb_members = _orbit_partition(vals, spec.n, ("r", "c"))
+    orb_of, images = _orbit_partition(vals, spec.n, ("r", "c"))
+    dist = _kernels.orbit_distances(images, spec.n)
     law = _kernels.LAW_CODES[config.subset_law]
-    best_size, best_trial, best_orbs = _kernels.run_trials(
-        vals, orb_of, orb_ptr, orb_members, spec.n, config.trials, config.master_seed, law
+    best_size, best_trial, closures = _kernels.run_trials(
+        vals, orb_of, images, dist, spec.n, config.trials, config.master_seed, law
     )
     table = BoundTable(spec=spec, config=config, seed_set_size=int(vals.size))
     for d in range(1, spec.n + 1):
         if best_size[d] > 0:
-            # the closure's seeds; vals ascend, so its words come out sorted
-            words = tuple(core.unpack_all(vals[np.isin(orb_of, best_orbs[d])], spec.n))
+            words = tuple(core.unpack_all(closures[d], spec.n))
             assert len(words) == int(best_size[d])
             table.buckets[d] = BoundEntry(size=len(words), trial=int(best_trial[d]), code=words)
     return table
@@ -195,6 +193,7 @@ def exact_max_size(
     ops = set(constraint_set)
     if not ops <= _CONSTRAINT_OPS:
         raise ValueError(f"unknown constraint ops {ops - _CONSTRAINT_OPS}")
+    SeedSetSpec(n, ell, g)  # raises ValueError where no seed set exists
     if not 1 <= d <= n:
         raise ValueError("d out of range")
     vals = _kernels.enumerate_seed_values(n, ell, g if "GC" in ops else None)
@@ -202,13 +201,13 @@ def exact_max_size(
         raise InstanceTooLargeError(
             f"seed set of {vals.size} strings at n={n}; exact search refused"
         )
-    _, orb_ptr, orb_members = _orbit_partition(vals, n, ops)
+    orb_of, images = _orbit_partition(vals, n, ops)
     if d == 1:
         return int(vals.size)  # distinctness alone; the closed seed set is optimal
 
     # orbit compatibility graph: a clique is a valid closed code
-    dist = _kernels.orbit_distances(vals, orb_ptr, orb_members, n)
-    sizes = np.diff(orb_ptr)
+    dist = _kernels.orbit_distances(images, n)
+    sizes = np.bincount(orb_of)
     idxs = np.flatnonzero(np.diag(dist) >= d)
     # renumber vertices 0..V-1, heaviest first
     idxs = idxs[np.argsort(-sizes[idxs], kind="stable")]

@@ -235,7 +235,7 @@ def test_criterion_08_isometry():
     n <= 6 for the (ATA,CGC) and (CG,AT) tables."""
     t0 = time.time()
     for pair in (PAIR3, BlockPair("CG", "AT")):
-        tmap = TransitionMap.standard(pair, "x")
+        tmap = TransitionMap(pair, "x")
         for n in range(1, 7):
             enc = {a: encode(a, tmap) for a in all_bits(n)}
             for a, ua in enc.items():
@@ -254,7 +254,7 @@ def test_criterion_09_theorem_formulas():
     cases all match exhaustive measurement for n <= 6."""
     violations = 0
     for pair, h0 in ((PAIR3, "x"), (PAIR3, "y"), (BlockPair("CG", "AT"), "x")):
-        tmap = TransitionMap.standard(pair, h0)
+        tmap = TransitionMap(pair, h0)
         ell = pair.ell
         gx, gy = core.gc_content(pair.x), core.gc_content(pair.y)
         for n in range(1, 7):
@@ -338,7 +338,7 @@ def test_criterion_11_documented_discrepancies():
     for n in range(4, 9):
         assert not any(binary_complete_conflict_condition(a, "literal") for a in all_bits(n))
     # the corrected condition is still not sufficient
-    tmap = TransitionMap.standard(PAIR3, "x")
+    tmap = TransitionMap(PAIR3, "x")
     assert binary_complete_conflict_condition("0010", "corrected")
     assert not encodes_to_complete_conflict_free("0010", tmap)
     # the pair the encoded-table caption names fails the conflict condition

@@ -92,7 +92,7 @@ def test_oracle_agreement_encoded(bits):
     # strings alone would rarely test the deep levels of long words
     from dnacf.isomap import TransitionMap, default_pair, encode
 
-    s = encode(bits, TransitionMap.standard(default_pair(3)))
+    s = encode(bits, TransitionMap(default_pair(3)))
     assert conflict_free_level(s) == oracle_level(s)
     assert is_rc_substring_free(s) == oracle_rc_free(s)
 

@@ -16,7 +16,7 @@ from dnacf.factory import (
     printed_complement_condition,
     reed_muller_dna,
 )
-from dnacf.isomap import BlockPair, default_pair, min_binary_distance, min_complement_distance
+from dnacf.isomap import BlockPair, binary_distances, default_pair, min_binary_distance
 
 PAIR3 = BlockPair("ATA", "CGC")
 
@@ -85,7 +85,7 @@ def test_exact_complement_rule_covers_codes_holding_e1(ell):
         bits = codeword_matrix(code)
         e1 = np.eye(1, code.n, dtype=np.uint8)
         assert (bits == e1).all(axis=1).any()
-        assert min_complement_distance(bits, ell) >= min_binary_distance(bits, ell)
+        assert binary_distances(bits, ell)[1] >= min_binary_distance(bits, ell)
     dna, report = build_dna_code(_e1_codes()[4], default_pair(ell))
     assert "complement" in [row.name for row in report.checks]
     assert report.constraint_report.complement_ok

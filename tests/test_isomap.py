@@ -24,7 +24,6 @@ from dnacf.isomap import (
     half_distance_bounds,
     image_set,
     min_binary_distance,
-    min_complement_distance,
     pair_sigma,
     validate_pair,
 )
@@ -66,10 +65,10 @@ def test_transition_table_worked_example():
     assert table["CG", 0] == "AT"
     assert table["TA", 1] == "GC"
     assert table["CG", 1] == "TA"  # bit 1 gives the complement block
-    assert TransitionMap.standard(PAIR_CG_AT).start_class() == "x"
-    assert TransitionMap.standard(PAIR_CG_AT, "yc").start_class() == "y"
+    assert TransitionMap(PAIR_CG_AT).start_class() == "x"
+    assert TransitionMap(PAIR_CG_AT, "yc").start_class() == "y"
     with pytest.raises(ValueError, match="h0"):
-        TransitionMap.standard(PAIR_CG_AT, "z")
+        TransitionMap(PAIR_CG_AT, "z")
 
 
 def test_transition_complement_symmetry():
@@ -83,7 +82,7 @@ def test_transition_complement_symmetry():
 
 
 def test_encode_worked_example():
-    tm = TransitionMap.standard(PAIR_CG_AT, "x")
+    tm = TransitionMap(PAIR_CG_AT, "x")
     assert encode("011", tm) == "CGTAGC"
     assert encode("0", tm) == "CG"
     assert encode("1", tm) == "GC"
@@ -118,13 +117,13 @@ def test_encode_all_matches_scalar_walk(pair):
     # few long words: two rows of 2^16 bits
     batches.append([format(rng.getrandbits(1 << 16), "065536b") for _ in range(2)])
     for h0 in BLOCK_NAMES:
-        tm = TransitionMap.standard(pair, h0)
+        tm = TransitionMap(pair, h0)
         for words in batches:
             assert encode_all(_bit_rows(words), tm) == [_scalar_encode(a, pair, h0) for a in words]
 
 
 def test_image_set():
-    tm = TransitionMap.standard(PAIR_CG_AT, "x")
+    tm = TransitionMap(PAIR_CG_AT, "x")
     assert image_set(1, tm) == {"CG", "GC"}
     assert image_set(2, tm) == {"CGAT", "CGTA", "GCTA", "GCAT"}
     for n in range(1, 9):
@@ -169,7 +168,7 @@ def test_min_binary_distance_reads_any_memory_order():
     bad = np.array([[0, 2, 1], [0, 0, 1]], dtype=np.uint8)
     with pytest.raises(ValueError):
         binary_distance(bad[0], bad[1], 1)
-    for scan in (binary_distances, min_binary_distance, min_complement_distance):
+    for scan in (binary_distances, min_binary_distance):
         with pytest.raises(ValueError, match="0/1"):
             scan(bad, 1)
 
@@ -182,7 +181,7 @@ def test_pair_scans_match_scalar_distance():
     import random
 
     rng = random.Random(2024)
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     for k in range(200):
         n = rng.randint(1, 8)
         ell = rng.randint(1, 4)
@@ -193,11 +192,11 @@ def test_pair_scans_match_scalar_distance():
         dists = [binary_distance(a, b, ell) for i, a in enumerate(words) for b in words[i + 1:]]
         assert min_binary_distance(words, ell) == min(dists)
         comp = [binary_distance(a, _flip_lead(b), ell) for a in words for b in words]
-        assert min_complement_distance(words, ell) == min(d for d in comp if d > 0)
+        assert binary_distances(words, ell)[1] == min(d for d in comp if d > 0)
         if ell == 3:  # the same minimum, measured on the encodings
             enc = [encode(w, tm) for w in words]
             dna = [core.hamming_distance(x, core.complement(y)) for x in enc for y in enc]
-            assert min_complement_distance(words, ell) == min(d for d in dna if d > 0)
+            assert binary_distances(words, ell)[1] == min(d for d in dna if d > 0)
 
 
 @pytest.mark.parametrize(
@@ -216,13 +215,13 @@ def test_pair_scans_pinned(name, ell, expected):
         "repetition5": lambda: repetition_code(5),
     }[name]()
     words = enumerate_codewords(code)
-    assert (min_binary_distance(words, ell), min_complement_distance(words, ell)) == expected
+    assert (min_binary_distance(words, ell), binary_distances(words, ell)[1]) == expected
     assert binary_distances(words, ell) == expected
 
 
 def test_isometry_exhaustive_small():
     for pair in (PAIR_ATA_CGC, PAIR_CG_AT):
-        tm = TransitionMap.standard(pair, "x")
+        tm = TransitionMap(pair, "x")
         for n in range(1, 5):
             enc = {a: encode(a, tm) for a in all_bits(n)}
             for a in enc:
@@ -234,7 +233,7 @@ def test_isometry_random_samples_up_to_n12():
     import random
 
     rng = random.Random(77)
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     for n in range(7, 13):
         for _ in range(300):
             a = "".join(rng.choice("01") for _ in range(n))
@@ -258,7 +257,7 @@ def test_metric_axioms_exhaustive_n5():
 
 
 def test_complement_theorem():
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     for n in range(1, 9):
         for a in all_bits(n):
             flipped = ("1" if a[0] == "0" else "0") + a[1:]
@@ -266,7 +265,7 @@ def test_complement_theorem():
 
 
 def test_block_recurrence_exhaustive_n10():
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     ell = 3
     for n in (3, 6, 10):
         for a in all_bits(n):
@@ -280,7 +279,7 @@ def test_reverse_distance_bound_even_n():
     # for even n the distance from any encoding to a reversed encoding is at
     # least n times the smaller cross-class reverse distance
     for pair in (PAIR_ATA_CGC, BlockPair("ATCA", "CGAC")):
-        tm = TransitionMap.standard(pair, "x")
+        tm = TransitionMap(pair, "x")
         x, y = pair.x, pair.y
         floor_per_block = min(
             core.hamming_distance(x, core.reverse(y)),
@@ -298,7 +297,7 @@ def test_fully_valid_pair_encode_guarantees_n8():
     # freedom is NOT implied (no fully valid pair is hairpin safe, pinned in
     # the acceptance suite)
     for pair in (PAIR_ATA_CGC, BlockPair("ATCA", "CGAC"), BlockPair("GTCA", "CGAT")):
-        tm = TransitionMap.standard(pair, "x")
+        tm = TransitionMap(pair, "x")
         ell = pair.ell
         gx, gy = core.gc_content(pair.x), core.gc_content(pair.y)
         balanced_split = (gx, gy) == (ell // 2, (ell + 1) // 2)
@@ -327,7 +326,7 @@ def test_validate_pair_examples():
     assert v.reverse_safe and v.gc_balanced
     # TCT (in x·y) and AGA (in xc·yc) lie in different windows
     assert not v.hairpin_safe
-    tm = TransitionMap.standard(BlockPair("ACT", "CTG"))
+    tm = TransitionMap(BlockPair("ACT", "CTG"))
     assert not is_rc_substring_free(encode("0000000", tm))
 
 
@@ -346,7 +345,7 @@ def test_hairpin_flag_is_sound():
         flagged[ell] = len(pairs)
         for pair in pairs:
             for h0 in BLOCK_NAMES:
-                tm = TransitionMap.standard(pair, h0)
+                tm = TransitionMap(pair, h0)
                 for n in range(1, 9):
                     for u in encode_all(_bit_rows(all_bits(n)), tm):
                         assert is_rc_substring_free(u), (pair, h0, u)
@@ -359,6 +358,15 @@ def test_enumerate_valid_pairs_counts_and_fixture():
         assert len(pairs) == expect
         assert {(p.x, p.y) for p in pairs} == set(reference.PAIR_TABLES[ell])
         assert pairs == sorted(pairs, key=lambda p: (p.x, p.y))
+    # every enumerated pair is fully valid, so default_pair takes the first;
+    # at ell = 2 there is none
+    for ell, expect in ((1, 8), (3, 8), (4, 32), (5, 112)):
+        pairs = enumerate_valid_pairs(ell)
+        assert len(pairs) == expect and all(validate_pair(p).fully_valid for p in pairs)
+        assert default_pair(ell) == pairs[0]
+    assert enumerate_valid_pairs(2) == []
+    with pytest.raises(ValueError):
+        default_pair(2)
     with pytest.raises(ValueError):
         enumerate_valid_pairs(7)
 
@@ -385,7 +393,7 @@ def test_encoded_gc_content():
 
 def test_gc_formula_matches_measurement():
     for pair, h0 in ((PAIR_ATA_CGC, "x"), (PAIR_ATA_CGC, "y"), (PAIR_CG_AT, "xc")):
-        tm = TransitionMap.standard(pair, h0)
+        tm = TransitionMap(pair, h0)
         gx, gy = core.gc_content(pair.x), core.gc_content(pair.y)
         for n in range(1, 6):
             for a in all_bits(n):
@@ -402,7 +410,7 @@ def test_flip_distance_examples_and_measurement():
         flip_distance(7, 3, 0)
     with pytest.raises(ValueError):
         flip_distance(7, 3, 3, 3)
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     for n in (1, 3, 5):
         for a in all_bits(n):
             u = encode(a, tm)
@@ -418,7 +426,7 @@ def test_half_distance_bounds():
     assert half_distance_bounds(3, 7, 3) == (6, 18)
     assert half_distance_bounds(2, 5, 2) == (2, 8)
     assert half_distance_bounds(5, 5, 4) == (12, 12)
-    tm = TransitionMap.standard(PAIR_CG_AT, "x")
+    tm = TransitionMap(PAIR_CG_AT, "x")
     for n in (2, 5):
         for a in all_bits(n):
             for b in all_bits(n):
@@ -438,7 +446,7 @@ def test_append_distance_cases():
 def test_append_increment_matches_measurement():
     # the four cases encode the exact distance increment when the coefficient
     # is the block length
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     ell = 3
     for n in (1, 2, 4):
         for a in all_bits(n):
@@ -459,7 +467,7 @@ def test_printed_sigma_is_not_an_upper_bound():
     # full separation and is violated by the very first append
     sigma = pair_sigma(PAIR_ATA_CGC)
     assert sigma == 0
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     measured = core.hamming_distance(encode("00", tm), encode("01", tm))
     assert measured > append_distance_bound(0, 1, sigma)
 
@@ -472,7 +480,7 @@ def test_binary_condition_literal_rejects_everything():
 
 
 def test_binary_condition_corrected_is_not_sufficient():
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     assert binary_complete_conflict_condition("0010", "corrected")
     assert not encodes_to_complete_conflict_free("0010", tm)
     assert not binary_complete_conflict_condition("0000", "corrected")
@@ -494,7 +502,7 @@ def test_published_hamming_dna_listing():
     assert rep.min_hamming == 6
     assert rep.conflict_free_level == 5
     assert rep.gc_constant == 9
-    tm = TransitionMap.standard(PAIR_ATA_CGC, "x")
+    tm = TransitionMap(PAIR_ATA_CGC, "x")
     table = dict(reference.HAMMING_DNA_TABLE)
     assert encode("0000000", tm) != table["0000000"]
     assert core.hamming_distance(encode("0000000", tm), encode("1111111", tm)) == \
@@ -505,7 +513,7 @@ def test_conflict_and_rc_guarantees_for_valid_pairs():
     # every encoding through a fully valid pair keeps the promised conflict
     # level; hairpin freedom additionally needs the hairpin flag
     for pair in enumerate_valid_pairs(3)[:2]:
-        tm = TransitionMap.standard(pair, "x")
+        tm = TransitionMap(pair, "x")
         for n in (2, 4, 6):
             for a in all_bits(n):
                 u = encode(a, tm)

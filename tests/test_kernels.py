@@ -113,14 +113,16 @@ def _brute_min_distance(words_a, words_b):
 )
 def test_orbit_distances_match_string_scan(n, ell, g, ops):
     vals = _kernels.enumerate_seed_values(n, ell, g)
-    orb_of, orb_ptr, orb_members = search._orbit_partition(vals, n, ops)
+    orb_of, images = search._orbit_partition(vals, n, ops)
     words = core.unpack_all(vals, n)
-    orbits = [[words[i] for i in orb_members[orb_ptr[k]:orb_ptr[k + 1]]] for k in range(len(orb_ptr) - 1)]
-    # the partition is the string-level orbit partition, ascending
-    assert [frozenset(o) for o in orbits] == sorted(set(_brute_orbits(words, ops).values()), key=min)
-    assert all(o == sorted(o) for o in orbits)
+    orbits = [set(core.unpack_all(images[:, a], n)) for a in range(images.shape[1])]
+    # the partition is the string-level orbit partition, numbered by smallest
+    # word; row 0 is the identity, so it holds those smallest words
+    assert orbits == sorted(set(_brute_orbits(words, ops).values()), key=min)
+    assert core.unpack_all(images[0], n) == [min(o) for o in orbits]
+    assert images.shape[0] == (4 if len(ops) > 1 else 1 + len(ops))
     assert all(w in orbits[orb_of[i]] for i, w in enumerate(words))
-    dist = _kernels.orbit_distances(vals, orb_ptr, orb_members, n)
+    dist = _kernels.orbit_distances(images, n)
     assert dist.dtype == np.uint8 and dist.shape == (len(orbits),) * 2
     for a, b in itertools.combinations_with_replacement(range(len(orbits)), 2):
         want = _brute_min_distance(orbits[a], orbits[b])
@@ -128,25 +130,16 @@ def test_orbit_distances_match_string_scan(n, ell, g, ops):
 
 
 def test_orbit_distances_match_string_words():
-    # singleton orbits of random words up to length 31: D is the plain distance
+    # singleton orbits of random words up to length 31, as the one identity
+    # row of images that ops=() gives: D is the plain distance
     rng = np.random.default_rng(8)
     for n in (1, 3, 8, 20, 31):
         words = ["".join(rng.choice(list("ACGT"), n)) for _ in range(30)]
-        ident = np.arange(len(words) + 1)
-        dist = _kernels.orbit_distances(_pack_all(words), ident, ident[:-1], n)
+        dist = _kernels.orbit_distances(_pack_all(words)[None], n)
         for i, j in itertools.product(range(len(words)), repeat=2):
             want = n + 1 if i == j else core.hamming_distance(words[i], words[j])
             assert dist[i, j] == want, (n, i, j)
-        # two-member orbits, some holding one word twice: the diagonal skips
-        # the representative by index, so a repeated word is at distance 0
-        for i in range(0, len(words), 6):
-            words[i + 1] = words[i]
-        dist = _kernels.orbit_distances(_pack_all(words), ident[::2], ident[:-1], n)
-        for a, b in itertools.product(range(len(words) // 2), repeat=2):
-            want = min(core.hamming_distance(words[2 * a], words[y]) for y in (2 * b, 2 * b + 1) if y != 2 * a)
-            assert dist[a, b] == want, (n, a, b)
-    empty = np.empty(0, dtype=np.int64)
-    assert _kernels.orbit_distances(empty, np.zeros(1, dtype=np.int64), empty, 4).shape == (0, 0)
+    assert _kernels.orbit_distances(np.empty((1, 0), dtype=np.int64), 4).shape == (0, 0)
 
 
 def test_closure_distance_early_exit_keeps_the_verdict():
@@ -171,13 +164,13 @@ def test_closure_distance_early_exit_keeps_the_verdict():
 
 def test_orbit_distances_refuse_before_allocating(monkeypatch):
     vals = _kernels.enumerate_seed_values(4, 2, 2)
-    _, orb_ptr, orb_members = search._orbit_partition(vals, 4, ("r", "c"))
-    n_orb = len(orb_ptr) - 1
+    _, images = search._orbit_partition(vals, 4, ("r", "c"))
+    n_orb = images.shape[1]
     monkeypatch.setattr(_kernels, "DIST_MEMORY_LIMIT", n_orb * n_orb)
-    assert _kernels.orbit_distances(vals, orb_ptr, orb_members, 4).shape == (n_orb, n_orb)
+    assert _kernels.orbit_distances(images, 4).shape == (n_orb, n_orb)
     monkeypatch.setattr(_kernels, "DIST_MEMORY_LIMIT", n_orb * n_orb - 1)
     with pytest.raises(_kernels.InstanceTooLargeError):
-        _kernels.orbit_distances(vals, orb_ptr, orb_members, 4)
+        _kernels.orbit_distances(images, 4)
     with pytest.raises(search.InstanceTooLargeError):
         search.random_construction(search.SeedSetSpec(4, 2, 2), search.SearchConfig(trials=10))
     with pytest.raises(search.InstanceTooLargeError):
@@ -257,11 +250,10 @@ def _scalar_picks(master_seed, trial, law, n_seed):
     return pool[:r]
 
 
-def _replay_trial(vals, orb_of, orb_ptr, orb_members, n, trial, master_seed, law):
+def _replay_trial(vals, orb_of, n, trial, master_seed, law):
     """One trial's closure, replayed from the scalar stream, as sorted words."""
     orbs = {int(orb_of[p]) for p in _scalar_picks(master_seed, trial, law, vals.shape[0])}
-    members = [int(m) for k in orbs for m in orb_members[orb_ptr[k]:orb_ptr[k + 1]]]
-    return sorted(core.unpack_all(vals[members], n))
+    return sorted(core.unpack_all(vals[np.isin(orb_of, list(orbs))], n))
 
 
 @pytest.mark.parametrize("law", sorted(_kernels.LAW_CODES))
@@ -273,11 +265,12 @@ def test_run_trials_parity(law):
         if pinned_law != law:
             continue
         vals = _kernels.enumerate_seed_values(n, n // 2, n // 2)
-        partition = search._orbit_partition(vals, n, ("r", "c"))
-        best_size, best_trial, best_orbs = _kernels.run_trials(
-            vals, *partition, n, TRIALS[n], seed, code
+        orb_of, images = search._orbit_partition(vals, n, ("r", "c"))
+        dist = _kernels.orbit_distances(images, n)
+        best_size, best_trial, closures = _kernels.run_trials(
+            vals, orb_of, images, dist, n, TRIALS[n], seed, code
         )
-        assert best_size[0] == 0 and best_trial[0] == -1 and best_orbs[0].size == 0
+        assert best_size[0] == 0 and best_trial[0] == -1 and closures[0].size == 0
         assert list(zip(best_size[1:].tolist(), best_trial[1:].tolist())) == list(pinned), (n, seed)
         table = search.random_construction(
             search.SeedSetSpec(n, n // 2, n // 2), search.SearchConfig(TRIALS[n], seed, law)
@@ -286,7 +279,7 @@ def test_run_trials_parity(law):
         for d, entry in table.buckets.items():
             words = list(entry.code)
             assert (entry.size, entry.trial) == pinned[d - 1], (n, seed, d)
-            assert words == _replay_trial(vals, *partition, n, entry.trial, seed, code), (n, seed, d)
+            assert words == _replay_trial(vals, orb_of, n, entry.trial, seed, code), (n, seed, d)
             assert len(words) == entry.size
             assert search.orbit_closure(words) == set(words)
             if d == 1:  # distance >= 1 means distinct words
@@ -315,9 +308,9 @@ def test_batched_draws_match_scalar_stream(law, master_seed, monkeypatch):
 
 
 def _same_trials(got, want):
-    best_size, best_trial, best_orbs = got
+    best_size, best_trial, closures = got
     return (np.array_equal(best_size, want[0]) and np.array_equal(best_trial, want[1])
-            and all(np.array_equal(g, w) for g, w in zip(best_orbs, want[2], strict=True)))
+            and all(np.array_equal(g, w) for g, w in zip(closures, want[2], strict=True)))
 
 
 @pytest.mark.parametrize("law", sorted(_kernels.LAW_CODES))
@@ -325,7 +318,8 @@ def test_run_trials_ignores_batch_boundaries(law, monkeypatch):
     code = _kernels.LAW_CODES[law]
     for n, trials in [(4, 300), (6, 200), (8, 60)]:
         vals = _kernels.enumerate_seed_values(n, n // 2, n // 2)
-        args = (vals, *search._orbit_partition(vals, n, ("r", "c")), n, trials, 7, code)
+        orb_of, images = search._orbit_partition(vals, n, ("r", "c"))
+        args = (vals, orb_of, images, _kernels.orbit_distances(images, n), n, trials, 7, code)
         want = _kernels.run_trials(*args)
         for cap in (1, 1 << 30):
             monkeypatch.setattr(_kernels, "DRAW_BATCH_LIMIT", cap)

@@ -53,6 +53,13 @@ def test_seed_spec_validation():
         SeedSetSpec(4, 0, 2)
     with pytest.raises(ValueError):
         SeedSetSpec(4, 2, 5)
+    # the exact solver refuses what the spec refuses: ell past n // 2,
+    # ell = 0 and n = 1
+    for n, ell, g, d in [(4, 3, 2, 2), (4, 0, 2, 2), (1, 1, 0, 1)]:
+        with pytest.raises(ValueError):
+            SeedSetSpec(n, ell, g)
+        with pytest.raises(ValueError):
+            exact_max_size(n, ell, g, d, ("r", "c", "GC"))
 
 
 def test_orbit_closure_examples():
