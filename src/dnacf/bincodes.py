@@ -48,13 +48,7 @@ ENUMERATION_LIMIT = 1 << 24
 
 
 class CodeTooLargeError(RuntimeError):
-    """Raised when full enumeration of a code would exceed the given limit."""
-
-
-def _check_enumerable(code: "BinaryCode", limit: int) -> None:
-    if code.size * code.n > limit:
-        raise CodeTooLargeError(f"{code.name}: {code.size} codewords of length {code.n} "
-                                f"exceed the enumeration limit of {limit} bits")
+    """Raised when full enumeration of a code would exceed :data:`ENUMERATION_LIMIT`."""
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,11 @@ def gf2_rank(mat: np.ndarray) -> int:
     return rank
 
 
-def codeword_matrix(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> np.ndarray:
+def codeword_matrix(code: BinaryCode) -> np.ndarray:
     """All codewords as uint8 0/1 rows, lexicographically sorted."""
-    _check_enumerable(code, limit)
+    if code.size * code.n > ENUMERATION_LIMIT:
+        raise CodeTooLargeError(f"{code.name}: {code.size} codewords of length {code.n} "
+                                f"exceed the enumeration limit of {ENUMERATION_LIMIT} bits")
     if code.words is not None:
         text = "".join(code.words).encode("ascii", "replace")  # one byte per character
         mat = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(code.size, code.n)
@@ -128,18 +124,18 @@ def codeword_matrix(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> np.ndar
     return mat[np.argsort(core.bit_row_keys(mat), kind="stable")]
 
 
-def enumerate_codewords(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> list[str]:
+def enumerate_codewords(code: BinaryCode) -> list[str]:
     """All codewords as 0/1 strings, lexicographically sorted."""
-    return core.rows_text(codeword_matrix(code, limit) + ord("0"))
+    return core.rows_text(codeword_matrix(code) + ord("0"))
 
 
-def measured_min_distance(code: BinaryCode, limit: int = ENUMERATION_LIMIT) -> int:
+def measured_min_distance(code: BinaryCode) -> int:
     """Minimum Hamming distance by full enumeration.
 
     Linear codes reduce to minimum nonzero weight (row 0 is the zero word);
     explicit codes scan pairs with the packed pair kernel.
     """
-    mat = codeword_matrix(code, limit)
+    mat = codeword_matrix(code)
     if code.generator is not None:
         return int(mat[1:].sum(axis=1).min())
     return min(code.n, _kernels.min_cross_u8(mat)[0])  # the words are distinct

@@ -6,7 +6,7 @@ window scans check every offset, not just block-aligned ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Iterable, Optional
 
@@ -61,25 +61,31 @@ def is_rc_substring_free(s: str) -> bool:
 _RC_3MER = 63 - np.arange(64).reshape(4, 4, 4).transpose().ravel()
 
 
-def _rows_conflict_level(rows: np.ndarray, top: int) -> int:
-    """:func:`_conflict_level` of the rows of a base-code matrix, taken as the
-    minimum over the rows: the first block length t at which any row has t
-    equal positions in a run, between itself and itself shifted by t."""
-    for t in range(1, top + 1):
-        same = np.zeros((rows.shape[0], rows.shape[1] - t + 1), dtype=np.int32)
-        np.cumsum(rows[:, t:] == rows[:, :-t], axis=1, out=same[:, 1:])
-        if (same[:, t:] - same[:, :-t] == t).any():  # a window of t equal positions
-            return t - 1
-    return top
+def rows_repeat(rows: np.ndarray, t: int) -> np.ndarray:
+    """Per row of a base-code matrix: whether two adjacent t-blocks are equal,
+    i.e. t equal positions in a run between the row and itself shifted by t."""
+    same = np.zeros((rows.shape[0], rows.shape[1] - t + 1), dtype=np.int32)
+    np.cumsum(rows[:, t:] == rows[:, :-t], axis=1, out=same[:, 1:])
+    return (same[:, t:] - same[:, :-t] == t).any(axis=1)
 
 
-def _rows_rc_substring_free(rows: np.ndarray) -> bool:
-    """:func:`is_rc_substring_free` of every row of a base-code matrix."""
-    if rows.shape[1] < 3:
-        return True
+def rows_3mers(rows: np.ndarray) -> np.ndarray:
+    """(rows, 64) presence table of each row's 3-mers, coded 16a + 4b + c."""
     seen = np.zeros((rows.shape[0], 64), dtype=bool)
     seen[np.arange(rows.shape[0])[:, None], 16 * rows[:, :-2] + 4 * rows[:, 1:-1] + rows[:, 2:]] = True
-    return not (seen & seen[:, _RC_3MER]).any()
+    return seen
+
+
+def rc_present(seen: np.ndarray) -> np.ndarray:
+    """Per row of a 3-mer table: whether some 3-mer and its reverse-complement
+    are both present, which is :func:`is_rc_substring_free` failing."""
+    return (seen & seen[:, _RC_3MER]).any(axis=1)
+
+
+def rows_gc(rows: np.ndarray) -> np.ndarray:
+    """GC content of each row of a base-code array, the last axis: C = 01 and
+    G = 10 are the codes whose two bits differ."""
+    return ((rows ^ (rows >> 1)) & 1).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -126,18 +132,7 @@ class ConstraintReport:
     hairpin_free: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "size": self.size,
-            "min_hamming": self.min_hamming,
-            "distance_floor": self.distance_floor,
-            "reverse_ok": self.reverse_ok,
-            "reverse_complement_ok": self.reverse_complement_ok,
-            "complement_ok": self.complement_ok,
-            "gc_constant": self.gc_constant,
-            "conflict_free_level": self.conflict_free_level,
-            "hairpin_free": self.hairpin_free,
-        }
+        return asdict(self)
 
 
 def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> ConstraintReport:
@@ -163,9 +158,10 @@ def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> 
     step = max(1, _kernels.PAIR_CHUNK // max(n, 64))  # rows per chunk of the scans below
     for lo in range(0, code.size, step):
         rows = mat[lo:lo + step]
-        gcs.update(((rows ^ (rows >> 1)) & 1).sum(axis=1).tolist())  # C = 01, G = 10
-        level = _rows_conflict_level(rows, level)
-        hairpin = hairpin and _rows_rc_substring_free(rows)
+        gcs.update(rows_gc(rows).tolist())
+        # ascending t: the first block length with a repeat caps the level
+        level = next((t - 1 for t in range(1, level + 1) if rows_repeat(rows, t).any()), level)
+        hairpin = hairpin and not rc_present(rows_3mers(rows)).any()
     gc_constant = gcs.pop() if len(gcs) == 1 else None
     return ConstraintReport(
         n=n,

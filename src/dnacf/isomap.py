@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, core
-from .constraints import is_conflict_free, is_complete_conflict_free
+from .constraints import is_complete_conflict_free, rc_present, rows_3mers, rows_gc, rows_repeat
 
 BLOCK_NAMES = ("x", "xc", "y", "yc")
 
@@ -198,74 +198,79 @@ class PairValidation:
 
 
 def validate_pair(pair: BlockPair) -> PairValidation:
-    x, y = pair.x, pair.y
-    ell = pair.ell
-    xc, yc = core.complement(x), core.complement(y)
-
-    conflict_safe = _conflict_safe(pair)
+    x, y = core.codes_matrix([pair.x, pair.y])[:, None]
+    separated, reverse_safe, gc_balanced = (bool(flag[0]) for flag in _pair_conditions(x[0], y))
+    conflict_safe = bool(_pairs_conflict_free(x, y)[0])
     # every 3-mer of an encoding lies in a reachable three-block window
     # a*·b*·a*, so the union of the windows' 3-mers must be rc free
-    xs, ys = (x, xc), (y, yc)
-    windows = ["".join(w) for w in (*product(xs, ys, xs), *product(ys, xs, ys))]
-    kmers = {w[p:p + 3] for w in windows for p in range(3 * ell - 2)}
-    hairpin_safe = not any(core.reverse_complement(k) in kmers for k in kmers)
-    reverse_safe = (
-        core.hamming_distance(x, core.reverse_complement(y)) == ell
-        and core.hamming_distance(x, core.reverse(y)) == ell
-    )
-    gc_balanced = core.gc_content(x) + core.gc_content(y) == ell
-    separated = (
-        core.hamming_distance(x, y) == ell
-        and core.hamming_distance(x, core.reverse(y)) == ell
-        and core.hamming_distance(x, core.reverse_complement(x)) == ell
-    )
+    kmers = rows_3mers(_windows(x, y, 3, first_free=True)[0]).any(axis=0)
     return PairValidation(
         conflict_safe=conflict_safe,
-        hairpin_safe=hairpin_safe,
+        hairpin_safe=not rc_present(kmers[None])[0],
         reverse_safe=reverse_safe,
         gc_balanced=gc_balanced,
         fully_valid=separated and gc_balanced and conflict_safe,
     )
 
 
-def _conflict_safe(pair: BlockPair) -> bool:
-    # the 16 strings (x y* x* y*) and (y x* y* x*), x* in {x,xc}, y* in {y,yc}
-    xs = (pair.x, core.complement(pair.x))
-    ys = (pair.y, core.complement(pair.y))
-    strings = ([pair.x + "".join(w) for w in product(ys, xs, ys)]
-               + [pair.y + "".join(w) for w in product(xs, ys, xs)])
-    return all(is_conflict_free(s, 2 * pair.ell - 1) for s in strings)
+def _pair_conditions(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table conditions of :class:`PairValidation` but conflict safety,
+    as (separated, reverse_safe, gc_balanced), of block rows x against block
+    rows y in base codes, broadcast over the leading axes."""
+    unlike_rev = (x != y[..., ::-1]).all(axis=-1)
+    separated = (x != y).all(axis=-1) & unlike_rev & (x != 3 - x[..., ::-1]).all(axis=-1)
+    reverse_safe = (x != 3 - y[..., ::-1]).all(axis=-1) & unlike_rev
+    gc_balanced = rows_gc(x) + rows_gc(y) == x.shape[-1]
+    return separated, reverse_safe, gc_balanced
+
+
+def _windows(x: np.ndarray, y: np.ndarray, k: int, first_free: bool) -> np.ndarray:
+    """Every run of k blocks of alternating class over each row pair (x, y):
+    x y* x* ... and y x* y* ..., where a starred block may be complemented,
+    and the first block too if ``first_free``.  Shape (pairs, windows, k * ell)."""
+    flags = np.array(list(product((0, 3), repeat=k)), dtype=np.uint8)  # XOR 3 complements
+    if not first_free:
+        flags = flags[flags[:, 0] == 0]
+    masks = np.repeat(flags, x.shape[1], axis=1)
+    runs = [np.concatenate([(a, b)[j % 2] for j in range(k)], axis=1) for a, b in ((x, y), (y, x))]
+    return np.concatenate([run[:, None] ^ masks for run in runs], axis=1)
+
+
+def _pairs_conflict_free(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row pair: whether the 16 windows x y* x* y* and y x* y* x* are all
+    (2 ell - 1) conflict free; complementing a whole window keeps its repeats,
+    so the first block stays fixed.  A pair drops out at its first repeat."""
+    ell = x.shape[1]
+    safe = np.zeros(len(x), dtype=bool)
+    step = max(1, _kernels.PAIR_CHUNK // (64 * ell))  # pairs per chunk of PAIR_CHUNK window bases
+    for lo in range(0, len(x), step):
+        windows = _windows(x[lo:lo + step], y[lo:lo + step], 4, first_free=False)
+        alive = np.arange(len(windows))
+        for t in range(1, 2 * ell):
+            repeats = rows_repeat(windows[alive].reshape(-1, 4 * ell), t)
+            alive = alive[~repeats.reshape(len(alive), windows.shape[1]).any(axis=1)]
+        safe[lo + alive] = True
+    return safe
 
 
 def enumerate_valid_pairs(ell: int) -> list[BlockPair]:
-    """All ordered pairs (x, y) passing the published table conditions,
-    lexicographically sorted.  Guarded to ell <= 6 (16^ell ordered pairs)."""
+    """All ordered pairs (x, y) passing the published table conditions, in
+    lexicographic order.  Guarded to ell <= 6 (16^ell ordered pairs)."""
     if not 1 <= ell <= 6:
         raise ValueError(f"refusing pair enumeration for ell={ell} (limit 6)")
     words = core.unpack_all(np.arange(4 ** ell), ell)
-    digits = core.codes_matrix(words)
-    rev = digits[:, ::-1]
-    comp = 3 - digits
-    rc = 3 - rev
-    gc = ((digits == 1) | (digits == 2)).sum(axis=1)
-    self_separated = (digits != rc).all(axis=1)  # x everywhere unlike its own rc
-
-    pairs: list[BlockPair] = []
-    for ix in np.nonzero(self_separated)[0]:
-        row = digits[ix]
-        full = (
-            (row[None, :] != digits).all(axis=1)
-            & (row[None, :] != rev).all(axis=1)
-            & (gc[ix] + gc == ell)
-        )
-        # the four blocks must also be pairwise distinct
-        full &= (row[None, :] != comp).any(axis=1)
-        for iy in np.nonzero(full)[0]:
-            pair = BlockPair(words[ix], words[iy])
-            if _conflict_safe(pair):
-                pairs.append(pair)
-    pairs.sort(key=lambda p: (p.x, p.y))
-    return pairs
+    # column-major, so each reduction over a block is ell vector operations
+    digits = np.asfortranarray(core.codes_matrix(words))
+    step = max(1, 4 * _kernels.PAIR_CHUNK // (ell << 2 * ell))  # x rows per 4 * PAIR_CHUNK bases
+    found = []
+    for lo in range(0, len(digits), step):
+        x = digits[lo:lo + step, None]
+        separated, _, gc_balanced = _pair_conditions(x, digits)
+        # the four blocks must also be pairwise distinct; argwhere keeps (x, y) in order
+        found.append(np.argwhere(separated & gc_balanced & (x != 3 - digits).any(axis=-1)) + [lo, 0])
+    found = np.concatenate(found)
+    safe = _pairs_conflict_free(digits[found[:, 0]], digits[found[:, 1]])
+    return [BlockPair(words[i], words[j]) for i, j in found[safe].tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -70,18 +70,24 @@ def test_golay():
     assert len(set(words)) == 4096
 
 
-def test_enumerate_limit():
+def test_enumerate_limit(monkeypatch):
+    import dnacf.bincodes as bincodes
+
+    monkeypatch.setattr(bincodes, "ENUMERATION_LIMIT", 100)
     with pytest.raises(CodeTooLargeError):
-        enumerate_codewords(golay_23_12(), limit=100)
-    # the limit counts codewords times length
+        enumerate_codewords(golay_23_12())
+    # the limit counts codewords times length, read at call time
     golay = golay_23_12()
-    assert len(enumerate_codewords(golay, limit=4096 * 23)) == 4096
+    monkeypatch.setattr(bincodes, "ENUMERATION_LIMIT", 4096 * 23)
+    assert len(enumerate_codewords(golay)) == 4096
+    monkeypatch.setattr(bincodes, "ENUMERATION_LIMIT", 4096 * 23 - 1)
     with pytest.raises(CodeTooLargeError):
-        enumerate_codewords(golay, limit=4096 * 23 - 1)
+        enumerate_codewords(golay)
     with pytest.raises(CodeTooLargeError):
-        measured_min_distance(golay, limit=4096 * 23 - 1)
+        measured_min_distance(golay)
+    monkeypatch.setattr(bincodes, "ENUMERATION_LIMIT", 2 * 9 - 1)
     with pytest.raises(CodeTooLargeError):
-        measured_min_distance(repetition_code(9), limit=2 * 9 - 1)
+        measured_min_distance(repetition_code(9))
 
 
 def test_reed_muller_refused_before_building(monkeypatch):
@@ -128,13 +134,16 @@ def test_codeword_matrix_sorts_long_words():
     assert codeword_matrix(reed_muller_code(0, 20)).sum(axis=1).tolist() == [0, n]
 
 
-def test_codeword_matrix_rejects_non_binary_words():
+def test_codeword_matrix_rejects_non_binary_words(monkeypatch):
+    import dnacf.bincodes as bincodes
+
     with pytest.raises(ValueError, match="0102"):
         codeword_matrix(BinaryCode(name="f", n=4, words=("0000", "0102")))
     with pytest.raises(ValueError, match="not a binary word"):
         codeword_matrix(BinaryCode(name="f", n=2, words=("00", "1\u00e9")))
+    monkeypatch.setattr(bincodes, "ENUMERATION_LIMIT", 7)
     with pytest.raises(CodeTooLargeError):  # the size guard runs first
-        codeword_matrix(BinaryCode(name="f", n=4, words=("0000", "0102")), limit=7)
+        codeword_matrix(BinaryCode(name="f", n=4, words=("0000", "0102")))
 
 
 def test_published_rm_row_is_inconsistent():

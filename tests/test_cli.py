@@ -312,6 +312,13 @@ GOLDEN_STDOUT = {
         "b9769305d0942f5369b50caef12729109e2cc152e26047f3623e2fe03cb225fb",
     ("tables", "--which", "bounds", "--trials", "2000", "--seed", "1"):
         "6a7f4b09b01089c69334d10bb13ef76c2f5bca3c78b6cc8b2a58ecb409e01019",
+    # recorded before the pair conditions moved onto the row kernels
+    ("pairs", "--ell", "1"):
+        "803ebd6b05db0e28e6d0abfb054c2e3c045548a5fb9f89f0be3bc9f2a790b777",
+    ("pairs", "--ell", "2"):
+        "f677a856e7512cb143c6ac87dbcdc188488e3548fd3908dfda3fd654692f20e1",
+    ("pairs", "--ell", "6"):
+        "75f5b0b21944525006271111a433ebfe62190ff35273e0f98d2179363220e7fa",
 }
 
 

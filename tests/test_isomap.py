@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ from dnacf import core, reference
 from dnacf.constraints import is_conflict_free, is_rc_substring_free
 from dnacf.isomap import (
     BlockPair,
+    PairValidation,
     TransitionMap,
     append_distance_bound,
     binary_complete_conflict_condition,
@@ -330,18 +332,86 @@ def test_validate_pair_examples():
     assert not is_rc_substring_free(encode("0000000", tm))
 
 
+def _oracle_conflict_safe(pair):
+    # the 16 strings (x y* x* y*) and (y x* y* x*), x* in {x,xc}, y* in {y,yc}
+    xs = (pair.x, core.complement(pair.x))
+    ys = (pair.y, core.complement(pair.y))
+    strings = ([pair.x + "".join(w) for w in product(ys, xs, ys)]
+               + [pair.y + "".join(w) for w in product(xs, ys, xs)])
+    return all(is_conflict_free(s, 2 * pair.ell - 1) for s in strings)
+
+
+def _oracle_validate_pair(pair):
+    # the five flags by string predicates, one pair at a time
+    x, y = pair.x, pair.y
+    ell = pair.ell
+    xc, yc = core.complement(x), core.complement(y)
+    conflict_safe = _oracle_conflict_safe(pair)
+    xs, ys = (x, xc), (y, yc)
+    windows = ["".join(w) for w in (*product(xs, ys, xs), *product(ys, xs, ys))]
+    kmers = {w[p:p + 3] for w in windows for p in range(3 * ell - 2)}
+    hairpin_safe = not any(core.reverse_complement(k) in kmers for k in kmers)
+    reverse_safe = (
+        core.hamming_distance(x, core.reverse_complement(y)) == ell
+        and core.hamming_distance(x, core.reverse(y)) == ell
+    )
+    gc_balanced = core.gc_content(x) + core.gc_content(y) == ell
+    separated = (
+        core.hamming_distance(x, y) == ell
+        and core.hamming_distance(x, core.reverse(y)) == ell
+        and core.hamming_distance(x, core.reverse_complement(x)) == ell
+    )
+    return PairValidation(
+        conflict_safe=conflict_safe,
+        hairpin_safe=hairpin_safe,
+        reverse_safe=reverse_safe,
+        gc_balanced=gc_balanced,
+        fully_valid=separated and gc_balanced and conflict_safe,
+    )
+
+
+def _all_block_pairs(ell):
+    words = ["".join(w) for w in product("ACGT", repeat=ell)]
+    for x, y in product(words, repeat=2):
+        try:
+            yield BlockPair(x, y)
+        except ValueError:
+            continue
+
+
+def _assert_flags_match_oracle(pair):
+    got = validate_pair(pair)
+    assert got == _oracle_validate_pair(pair), pair
+    assert all(type(flag) is bool for flag in astuple(got)), got
+
+
+def test_validate_pair_matches_string_oracle_exhaustive():
+    pairs = [p for ell in (1, 2, 3) for p in _all_block_pairs(ell)]
+    assert len(pairs) == 4200
+    for pair in pairs:
+        _assert_flags_match_oracle(pair)
+
+
+@pytest.mark.parametrize("ell", [4, 5, 6, 7])
+def test_validate_pair_matches_string_oracle_random(ell):
+    # ell = 7 lies past the enumeration guard; validation still works there
+    rng = random.Random(ell)
+    pairs = []
+    while len(pairs) < 300:
+        x, y = ("".join(rng.choice("ACGT") for _ in range(ell)) for _ in range(2))
+        if x != y and x != core.complement(y):
+            pairs.append(BlockPair(x, y))
+    # random pairs are rarely fully valid: add every enumerated one
+    if ell <= 6:
+        pairs += enumerate_valid_pairs(ell)
+    for pair in pairs:
+        _assert_flags_match_oracle(pair)
+
+
 def test_hairpin_flag_is_sound():
     flagged = {}
     for ell in (1, 2, 3):
-        words = ["".join(w) for w in product("ACGT", repeat=ell)]
-        pairs = []
-        for x, y in product(words, repeat=2):
-            try:
-                pair = BlockPair(x, y)
-            except ValueError:
-                continue
-            if validate_pair(pair).hairpin_safe:
-                pairs.append(pair)
+        pairs = [pair for pair in _all_block_pairs(ell) if validate_pair(pair).hairpin_safe]
         flagged[ell] = len(pairs)
         for pair in pairs:
             for h0 in BLOCK_NAMES:
