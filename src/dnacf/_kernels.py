@@ -44,9 +44,9 @@ PAIR_WORK_LIMIT = 1 << 32
 #: temporaries are 256 KiB each
 PAIR_CHUNK = 1 << 15
 
-#: largest string space, 4**n, that :func:`enumerate_seed_values` will scan.
-#: The scan visits every string, about 0.3 s at n = 12 and 4x more per extra
-#: base, so n = 16 takes minutes; the int64 packing also breaks past n = 31.
+#: largest string space, 4**n, that :func:`enumerate_seed_values` accepts.  Its
+#: work follows the kept prefixes, but at small ell the seed sets grow about 3x
+#: per base, to millions of strings by n = 14; int64 packing ends at n = 31.
 SEED_SPACE_LIMIT = 4 ** 16
 
 #: most Fisher-Yates draws that :func:`run_trials` makes as one batch of
@@ -122,28 +122,25 @@ def _subset_sizes(state, law, n_seed):
 def enumerate_seed_values(n, ell, g=None):
     """Packed values of every length-n string with GC content g (any GC
     content for ``g=None``) that is ell conflict free, ascending.  Refuses a
-    space larger than :data:`SEED_SPACE_LIMIT` before any work."""
-    total = 1 << (2 * n)
-    if total > SEED_SPACE_LIMIT:
+    space larger than :data:`SEED_SPACE_LIMIT` before any work.
+
+    The strings grow one base at a time, each kept prefix v into its children
+    ``v << 2 | b``.  A repeat can only appear at the base that completes it,
+    so a child is tested only for equal t-blocks ending at its last base, and
+    with g given, for a GC count that the bases left can still bring to g."""
+    if 4 ** n > SEED_SPACE_LIMIT:
         raise InstanceTooLargeError(
-            f"seed enumeration at n={n} would scan 4**{n} strings (limit {SEED_SPACE_LIMIT})"
+            f"seed enumeration at n={n} spans a space of 4**{n} strings (limit {SEED_SPACE_LIMIT})"
         )
-    low_mask = LOW_BITS & ((1 << (2 * n)) - 1)
-    parts = []
-    for lo in range(0, total, 1 << 20):
-        v = np.arange(lo, min(lo + (1 << 20), total), dtype=np.int64)
+    v = np.zeros(1, dtype=np.int64)
+    for k in range(1, n + 1):
+        v = (v[:, None] << 2 | np.arange(4)).ravel()
+        for t in range(1, min(ell, k // 2) + 1):
+            v = v[(v ^ (v >> (2 * t))) & ((1 << (2 * t)) - 1) != 0]
         if g is not None:  # C = 01 and G = 10 are the codes whose bits differ
-            v = v[np.bitwise_count((v ^ (v >> 1)) & low_mask) == g]
-        for t in range(1, ell + 1):
-            if v.size == 0:
-                break
-            bm = (1 << (2 * t)) - 1
-            ok = np.ones(v.size, dtype=bool)
-            for p in range(n - 2 * t + 1):
-                ok &= ((v >> (2 * (n - p - t))) & bm) != ((v >> (2 * (n - p - 2 * t))) & bm)
-            v = v[ok]
-        parts.append(v)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            gc = np.bitwise_count((v ^ (v >> 1)) & LOW_BITS)
+            v = v[(gc <= g) & (gc >= g - (n - k))]
+    return v
 
 
 def _pack_rows(mat):

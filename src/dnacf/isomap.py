@@ -202,8 +202,10 @@ def validate_pair(pair: BlockPair) -> PairValidation:
     separated, reverse_safe, gc_balanced = (bool(flag[0]) for flag in _pair_conditions(x[0], y))
     conflict_safe = bool(_pairs_conflict_free(x, y)[0])
     # every 3-mer of an encoding lies in a reachable three-block window
-    # a*·b*·a*, so the union of the windows' 3-mers must be rc free
-    kmers = rows_3mers(_windows(x, y, 3, first_free=True)[0]).any(axis=0)
+    # a*·b*·a*, so the union of the windows' 3-mers must be rc free; the
+    # complemented windows hold the complemented 3-mers, codes 63 - c
+    kmers = rows_3mers(_windows(x, y, 3)[0]).any(axis=0)
+    kmers |= kmers[::-1]
     return PairValidation(
         conflict_safe=conflict_safe,
         hairpin_safe=not rc_present(kmers[None])[0],
@@ -224,13 +226,12 @@ def _pair_conditions(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return separated, reverse_safe, gc_balanced
 
 
-def _windows(x: np.ndarray, y: np.ndarray, k: int, first_free: bool) -> np.ndarray:
+def _windows(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """Every run of k blocks of alternating class over each row pair (x, y):
-    x y* x* ... and y x* y* ..., where a starred block may be complemented,
-    and the first block too if ``first_free``.  Shape (pairs, windows, k * ell)."""
-    flags = np.array(list(product((0, 3), repeat=k)), dtype=np.uint8)  # XOR 3 complements
-    if not first_free:
-        flags = flags[flags[:, 0] == 0]
+    x y* x* ... and y x* y* ..., where a starred block may be complemented.
+    The first block stays fixed: the other windows are the complements of
+    these.  Shape (pairs, windows, k * ell)."""
+    flags = np.array([(0, *f) for f in product((0, 3), repeat=k - 1)], np.uint8)  # XOR 3 complements
     masks = np.repeat(flags, x.shape[1], axis=1)
     runs = [np.concatenate([(a, b)[j % 2] for j in range(k)], axis=1) for a, b in ((x, y), (y, x))]
     return np.concatenate([run[:, None] ^ masks for run in runs], axis=1)
@@ -244,7 +245,7 @@ def _pairs_conflict_free(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     safe = np.zeros(len(x), dtype=bool)
     step = max(1, _kernels.PAIR_CHUNK // (64 * ell))  # pairs per chunk of PAIR_CHUNK window bases
     for lo in range(0, len(x), step):
-        windows = _windows(x[lo:lo + step], y[lo:lo + step], 4, first_free=False)
+        windows = _windows(x[lo:lo + step], y[lo:lo + step], 4)
         alive = np.arange(len(windows))
         for t in range(1, 2 * ell):
             repeats = rows_repeat(windows[alive].reshape(-1, 4 * ell), t)

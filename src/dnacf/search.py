@@ -53,7 +53,7 @@ class SearchConfig:
 
 def enumerate_seed_set(spec: SeedSetSpec) -> list[str]:
     """All length-n strings with GC content g that are ell conflict free,
-    lexicographically sorted.  The GC filter runs before the conflict scan."""
+    lexicographically sorted."""
     vals = _kernels.enumerate_seed_values(spec.n, spec.ell, spec.g)
     return core.unpack_all(vals, spec.n)
 

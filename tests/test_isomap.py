@@ -581,10 +581,14 @@ def test_published_hamming_dna_listing():
 
 def test_conflict_and_rc_guarantees_for_valid_pairs():
     # every encoding through a fully valid pair keeps the promised conflict
-    # level; hairpin freedom additionally needs the hairpin flag
-    for pair in enumerate_valid_pairs(3)[:2]:
-        tm = TransitionMap(pair, "x")
-        for n in (2, 4, 6):
-            for a in all_bits(n):
-                u = encode(a, tm)
-                assert is_conflict_free(u, min(2 * pair.ell - 1, len(u) // 2))
+    # level; hairpin freedom additionally needs the hairpin flag.  Six blocks
+    # cover every encoding length: a repeat of t <= 2 ell - 1 bases fits in
+    # five blocks from any offset, and since prefix parity is a bijection the
+    # 64 six-bit words under h0 = x and y give every five-block window of
+    # either start class with any complement pattern
+    words = _bit_rows(all_bits(6))
+    for ell in (1, 3, 4, 5):
+        for pair in enumerate_valid_pairs(ell):
+            for h0 in ("x", "y"):
+                for u in encode_all(words, TransitionMap(pair, h0)):
+                    assert is_conflict_free(u, 2 * ell - 1), (pair, h0, u)

@@ -3,6 +3,7 @@ string predicates, a scalar replay of the search's random stream, and search
 results pinned before the trial loop moved onto the orbit-distance matrix."""
 
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -194,6 +195,24 @@ def test_enumeration_parity(n, ell, g):
     got = _kernels.enumerate_seed_values(n, ell, g)
     assert got.dtype == np.int64
     assert core.unpack_all(got, n) == want
+
+
+# (n, ell, g): size and sha256 of the int64 bytes of the seed values,
+# recorded from the scan over all 4^n strings that the prefix growth replaced;
+# they cover the g=None path and n > 10, past the string oracle's reach
+SEED_PINS = {
+    (10, 5, None): (33480, "3fd20c47a16b73a87d456b36c942e9754f6f7259507d14253aeea57bdbc9caa5"),
+    (12, 6, 6): (84064, "37baa0739b929a94aa8dfca7d10211821d8ef68dfc67745e086810faa571fac2"),
+    (13, 1, 6): (602880, "0170a8f9a9526fea99290018b83fae2bc22fbe0f87c56d3169cbcda71d234076"),
+    (14, 7, 7): (546176, "cf57642ffe45ea56beb9c05a5e6501210a3cf32a7ceeec4aee16d2e0a4d8c7dd"),
+}
+
+
+@pytest.mark.parametrize("n,ell,g", list(SEED_PINS))
+def test_seed_values_pinned(n, ell, g):
+    vals = _kernels.enumerate_seed_values(n, ell, g)
+    assert vals.dtype == np.int64
+    assert (vals.size, hashlib.sha256(vals.tobytes()).hexdigest()) == SEED_PINS[n, ell, g]
 
 
 def _brute_min_pairwise(words):
