@@ -7,9 +7,9 @@ batch of trials as array expressions over counter-based SplitMix64 streams,
 at most :data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free partial
 Fisher-Yates; it hands back the closure behind each bucket, so witnesses need
 no second pass over the draws.  The search's distance work goes through one
-orbit-distance matrix (:func:`orbit_distances`), built from the group's
-images of each orbit's representative; its size is capped by
-:data:`DIST_MEMORY_LIMIT`.
+orbit-distance matrix (:func:`orbit_distances`), built tile by tile over its
+upper triangle from the group's images of each orbit's representative and
+capped by :data:`DIST_MEMORY_LIMIT`.
 
 Packed layout: two bits per base, leftmost base most significant, so packed
 values ascend in lexicographic string order.
@@ -28,9 +28,9 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64 increment
 _TRIAL_GAMMA = 0xD1B54A32D192ED03  # spreads the trial streams
 
-#: largest orbit-distance matrix that :func:`orbit_distances` will allocate,
-#: in bytes (one byte per orbit pair).  512 MiB admits the (n, n/2, n/2)
-#: seed sets up to n = 12 (21,064 orbits) and refuses n = 13 (48,858).
+#: largest orbit-distance matrix, in bytes (one byte per orbit pair), that
+#: :func:`check_orbit_count` admits.  512 MiB admits the (n, n/2, n/2) seed
+#: sets up to n = 12 (21,064 orbits, built in about 2 s) and refuses n = 13 (48,858).
 DIST_MEMORY_LIMIT = 512 << 20
 
 #: largest scan, in rows times rows times uint64 words per row, that
@@ -43,6 +43,10 @@ PAIR_WORK_LIMIT = 1 << 32
 #: row scans of ``constraints.verify_code``; the pair kernel's uint64
 #: temporaries are 256 KiB each
 PAIR_CHUNK = 1 << 15
+
+#: most seeds of the mixed law's small draws, and most orbits of a closure
+#: that :func:`run_trials` measures in the batch's one gather
+SMALL_DRAW = 16
 
 #: largest string space, 4**n, that :func:`enumerate_seed_values` accepts.  Its
 #: work follows the kept prefixes, but at small ell the seed sets grow about 3x
@@ -109,7 +113,7 @@ def _subset_sizes(state, law, n_seed):
         size, used = _dyadic_sizes(z1, _draws(state, 2), n_seed), 2
     else:
         odd = (z1 & 1).astype(bool)
-        small = np.minimum(n_seed, 1 + (z1 >> 1) % 16)
+        small = np.minimum(n_seed, 1 + (z1 >> 1) % SMALL_DRAW)
         size = np.where(odd, small, _dyadic_sizes(_draws(state, 2), _draws(state, 3), n_seed))
         used = np.where(odd, 1, 3)
     return size.astype(np.int64), np.broadcast_to(used, state.shape).astype(np.int64)
@@ -217,6 +221,13 @@ def min_cross_u8(a, reverse=False):
     return best, best_comp
 
 
+def check_orbit_count(n_orb):
+    """Refuse ``n_orb`` or more orbits if their ``D`` would exceed :data:`DIST_MEMORY_LIMIT`."""
+    if n_orb * n_orb > DIST_MEMORY_LIMIT:
+        raise InstanceTooLargeError(f"{n_orb} or more orbits need a distance matrix of at least "
+                                    f"{n_orb * n_orb >> 20} MiB; the limit is {DIST_MEMORY_LIMIT >> 20} MiB")
+
+
 def orbit_distances(images, n):
     """Minimum Hamming distance between every pair of orbits, as uint8.
 
@@ -227,52 +238,64 @@ def orbit_distances(images, n):
     ``D[a, a]`` is the smallest between distinct words of orbit a, and
     ``n + 1`` when it has no two.  The group's maps preserve distance when
     applied to both words, so row a only measures a's representative against
-    every image.  Refuses, before allocating, a matrix larger than
-    :data:`DIST_MEMORY_LIMIT`.
+    every image, and ``D`` is symmetric: only its 128 x 512 tiles that meet
+    the upper triangle are measured (on 32-bit words when 2n bits fit), each
+    written with its transpose.  Refuses, before allocating, a matrix larger
+    than :data:`DIST_MEMORY_LIMIT`.
     """
     n_orb = images.shape[1]
-    if n_orb * n_orb > DIST_MEMORY_LIMIT:
-        raise InstanceTooLargeError(
-            f"{n_orb} orbits need a {n_orb * n_orb / (1 << 20):.0f} MiB distance matrix; "
-            f"the limit is {DIST_MEMORY_LIMIT >> 20} MiB"
-        )
+    check_orbit_count(n_orb)
     dist = np.empty((n_orb, n_orb), dtype=np.uint8)
     if n_orb == 0:
         return dist
-    low_mask = LOW_BITS & ((1 << (2 * n)) - 1)
-
-    def hamming(x, y):
-        x = x ^ y
-        return np.bitwise_count((x | (x >> 1)) & low_mask)
-
-    step = max(1, (1 << 19) // n_orb)  # 4 MiB of int64 words per temporary
-    for lo in range(0, n_orb, step):
-        reps = images[0, lo:lo + step, None]
-        d = hamming(reps, images[0])
-        for row in images[1:]:
-            np.minimum(d, hamming(reps, row), out=d)
-        dist[lo:lo + step] = d
+    words = images.astype(np.uint32 if 2 * n <= 32 else np.uint64)
+    low_mask = words.dtype.type(LOW_BITS & ((1 << (2 * n)) - 1))
+    bufs = [np.empty(128 * 512, dtype=t) for t in (words.dtype, words.dtype, np.uint8, np.uint8)]
+    for lo in range(0, n_orb, 128):
+        reps = words[0, lo:lo + 128, None]
+        for c_lo in range(lo, n_orb, 512):
+            cols = words[:, c_lo:c_lo + 512]
+            x, y, cnt, d = (b[:reps.size * cols.shape[1]].reshape(reps.size, -1) for b in bufs)
+            d.fill(255)
+            for row in cols:
+                x |= np.right_shift(np.bitwise_xor(reps, row, out=x), 1, out=y)
+                x &= low_mask
+                np.minimum(d, np.bitwise_count(x, out=cnt), out=d)
+            dist[lo:lo + 128, c_lo:c_lo + 512] = d
+            dist[c_lo:c_lo + 512, lo:lo + 128] = d.T
     # on the diagonal, distance 0 is the representative meeting itself
-    own = hamming(images[0], images[1:])
+    x = words[0] ^ words[1:]
+    own = np.bitwise_count((x | (x >> 1)) & low_mask)
     own[own == 0] = n + 1
     np.fill_diagonal(dist, own.min(axis=0, initial=n + 1))
     return dist
 
 
 def _closure_distance(dist, orbs, d_gate):
-    """Minimum of ``dist`` over the orbits ``orbs``, scanned in row chunks.
+    """Minimum of ``dist`` over ``orbs``, in row chunks of 4, 8, 16, ... rows (at most 2**16 cells).
 
     Stops early once the minimum is below ``d_gate`` (the closure cannot
     enter any bucket) or reaches 1 (no distinct words are closer)."""
     k = orbs.size
-    step = max(1, (1 << 16) // k)
-    d_star = 255  # above every distance
-    for lo in range(0, k, step):
+    d_star, lo, step = 255, 0, 4  # 255 is above every distance
+    while lo < k:
+        hi = lo + min(step, max(1, (1 << 16) // k))
         # dist is symmetric: earlier chunks already covered columns before lo
-        d_star = min(d_star, int(dist[orbs[lo:lo + step]][:, orbs[lo:]].min()))
+        d_star = min(d_star, int(dist[orbs[lo:hi]][:, orbs[lo:]].min()))
         if d_star < d_gate or d_star == 1:
             break
+        lo, step = hi, 2 * step
     return d_star
+
+
+def _small_closure_distances(dist, orbs, starts):
+    """Minimum of ``dist`` over each closure ``orbs[starts[b]:starts[b + 1]]``
+    of at most :data:`SMALL_DRAW` orbits, all in one gather, padded with the
+    closure's first orbit; 0 for a larger closure (:func:`_closure_distance`)."""
+    k = np.diff(starts)
+    i = np.arange(min(SMALL_DRAW, int(k.max())))
+    o = orbs[starts[:-1, None] + np.where(i < k[:, None], i, 0)]
+    return np.where(k <= SMALL_DRAW, dist[o[:, :, None], o[:, None, :]].min(axis=(1, 2)), 0).tolist()
 
 
 def _trial_batches(trials, master_seed, law, n_seed):
@@ -342,13 +365,13 @@ def run_trials(vals, orb_of, images, dist, n, trials, master_seed, law):
 
     Each trial draws a subset size from the law and a partial Fisher-Yates
     subset of seeds, closes it under the orbits, and measures the closure's
-    minimum distance in ``dist``.  The draws and closures of a batch of
-    trials (:data:`DRAW_BATCH_LIMIT`) are NumPy array expressions over the
-    counter-based streams; only the size gate and the distance scan run per
-    trial, in trial order, so the result does not depend on the batching.
-    Closures that cannot improve any bucket are not measured.  Every orbit
-    must have two or more members, as under r and c (the complement changes
-    every base), so a closure's distance never exceeds n.
+    minimum distance in ``dist``.  Draws, closures and the distances of
+    closures of at most :data:`SMALL_DRAW` orbits are array expressions over
+    a batch of trials (:data:`DRAW_BATCH_LIMIT`); only the size gate and the
+    scan of a larger closure, skipped if it cannot improve any bucket, run
+    per trial in trial order, so the result does not depend on the batching.
+    Every orbit must have two or more members, as under r and c (the
+    complement changes every base), so a closure's distance never exceeds n.
     """
     n_seed = vals.shape[0]
     orb_size = np.bincount(orb_of)
@@ -365,13 +388,14 @@ def run_trials(vals, orb_of, images, dist, n, trials, master_seed, law):
         orbs = closed % n_orb
         starts = np.searchsorted(closed, np.arange(size.size + 1) * n_orb)
         sizes_c = np.add.reduceat(orb_size[orbs], starts[:-1]).tolist()
+        small_d = _small_closure_distances(dist, orbs, starts)
         starts = starts.tolist()
         for b, size_c in enumerate(sizes_c):
             # smallest bucket this closure could still improve
             d_gate = next((d for d in range(1, n + 1) if best_size[d] < size_c), 0)
             if d_gate:
                 closure = orbs[starts[b]:starts[b + 1]]
-                d_star = _closure_distance(dist, closure, d_gate)
+                d_star = small_d[b] or _closure_distance(dist, closure, d_gate)
                 # best sizes never grow with d, so every bucket from d_gate
                 # to d_star improves; copies keep no batch array alive
                 for d in range(d_gate, d_star + 1):

@@ -147,6 +147,7 @@ def random_construction(spec: SeedSetSpec, config: SearchConfig) -> BoundTable:
     vals = _kernels.enumerate_seed_values(spec.n, spec.ell, spec.g)
     if vals.size == 0:
         raise ValueError(f"empty seed set for {spec}")
+    _kernels.check_orbit_count(-(-vals.size // 4))  # an orbit under r and c has at most 4 seeds
     orb_of, images = _orbit_partition(vals, spec.n, ("r", "c"))
     dist = _kernels.orbit_distances(images, spec.n)
     law = _kernels.LAW_CODES[config.subset_law]

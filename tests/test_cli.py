@@ -332,9 +332,10 @@ def test_golden_stdout(argv, capsys):
 # The fuzz draws stay small.  Left out, because they pass every guard yet
 # start seconds to minutes of work: n = 10..16 for seeds and search (at
 # n = 13..16 the seed sets reach millions of strings: seeds prints 1.9
-# million at --n 14 --ell 1 --gc 7 in about 1.5 s and 500 MiB, and search
-# splits them into orbits before refusing the distance matrix, 5.5 s at
-# --n 15 --ell 6 --gc 7), pair enumeration at ell = 6 (16^6 pairs), RM(2,5),
+# million at --n 14 --ell 1 --gc 7 in about 1.5 s and 500 MiB; search
+# enumerates them before its seed-count bound refuses the distance matrix,
+# 0.4 s at --n 15 --ell 6 --gc 7, and at n = 10..12 it builds a distance
+# matrix of up to 423 MiB), pair enumeration at ell = 6 (16^6 pairs), RM(2,5),
 # RM(3,4) and RM(4,4), whose encoded pair scans run from seconds to over a
 # minute, and RM(0,20..23): two words of 2^20..2^23 bits, seconds to minutes
 # of encoding and scans.

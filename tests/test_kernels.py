@@ -143,16 +143,51 @@ def test_orbit_distances_match_string_words():
     assert _kernels.orbit_distances(np.empty((1, 0), dtype=np.int64), 4).shape == (0, 0)
 
 
+def _untiled_distances(images, n):
+    """``orbit_distances`` in one untiled NumPy expression: the elementwise
+    minimum over the image rows of the packed Hamming distance from each
+    representative, and on the diagonal the nearest distinct image."""
+    x = images[0][:, None, None] ^ images.T[None, :, :]
+    d = np.bitwise_count((x | (x >> 1)) & (core.LOW_BITS & ((1 << (2 * n)) - 1)))
+    diag = d[np.arange(d.shape[0]), np.arange(d.shape[0])]
+    diag[diag == 0] = n + 1
+    d = d.min(axis=2)
+    np.fill_diagonal(d, diag.min(axis=1))
+    return d
+
+
+@pytest.mark.parametrize("ops", [("r", "c"), ("rc",), ("c",)])
+def test_orbit_distances_match_untiled_reference_across_tiles(ops):
+    # (8,4,4) under r and c has 514 orbits: five row tiles of 128 and two
+    # column blocks of 512; under rc or c alone, about twice as many
+    vals = _kernels.enumerate_seed_values(8, 4, 4)
+    _, images = search._orbit_partition(vals, 8, ops)
+    assert images.shape[1] >= 514
+    assert np.array_equal(_kernels.orbit_distances(images, 8), _untiled_distances(images, 8))
+
+
+@pytest.mark.parametrize("n", [20, 31])
+def test_orbit_distances_match_untiled_reference_on_64_bit_words(n):
+    rng = np.random.default_rng(n)
+    images = rng.integers(0, 1 << (2 * n), size=(1, 700), dtype=np.int64)
+    images[0, 5] = images[0, 600]  # a repeated word: distance 0 off the diagonal
+    assert np.array_equal(_kernels.orbit_distances(images, n), _untiled_distances(images, n))
+
+
 def test_closure_distance_early_exit_keeps_the_verdict():
     # the chunked scan may stop early, but never changes which side of the
     # gate a closure falls on, and is exact whenever it passes the gate;
-    # one planted minimum anywhere in a many-chunk closure must be found
+    # one planted minimum anywhere in a many-chunk closure must be found.
+    # Row chunks are 4, 8, 16, ... rows, so rows 4 and 12 open the second
+    # and third chunks
     rng = np.random.default_rng(11)
-    for k, planted, where in itertools.product((2, 40, 700), (1, 2, 3), (0, -2, None)):
+    for k, planted, where in itertools.product((2, 5, 13, 29, 40, 700), (1, 2, 3), (0, 4, 12, -2, None)):
+        if where is not None and where >= k - 1:
+            continue
         full = rng.integers(planted + 1, 9, size=(k + 5, k + 5), dtype=np.uint8)
         dist = np.minimum(full, full.T)
         orbs = np.sort(rng.choice(k + 5, size=k, replace=False))
-        # in the first chunk, the last one, or anywhere
+        # in the row chunk that starts at row `where`, the last one, or anywhere
         i, j = orbs[[where, -1]] if where is not None else rng.choice(orbs, size=2)
         dist[i, j] = dist[j, i] = planted
         true = int(dist[np.ix_(orbs, orbs)].min())
@@ -161,6 +196,39 @@ def test_closure_distance_early_exit_keeps_the_verdict():
             assert (got >= d_gate) == (true >= d_gate), (k, planted, where, d_gate)
             if got >= d_gate:
                 assert got == true, (k, planted, where, d_gate)
+
+
+def test_small_closure_distances_match_the_closure_minimum():
+    # one gather over closures of 1, 2, 16 and 17 orbits: exact up to
+    # SMALL_DRAW orbits, 0 (left to the row scan) above; a diagonal above
+    # every other entry shows any pair from outside a closure
+    rng = np.random.default_rng(3)
+    full = rng.integers(1, 9, size=(40, 40), dtype=np.uint8)
+    dist = np.minimum(full, full.T)
+    np.fill_diagonal(dist, 9)
+    closures = [np.sort(rng.choice(40, size=k, replace=False)) for k in (1, 2, 16, 17, 2, 16)]
+    starts = np.cumsum([0] + [o.size for o in closures])
+    got = _kernels._small_closure_distances(dist, np.concatenate(closures), starts)
+    want = [int(dist[np.ix_(o, o)].min()) if o.size <= _kernels.SMALL_DRAW else 0 for o in closures]
+    assert got == want and want[3] == 0 and _kernels.SMALL_DRAW == 16
+
+
+def test_run_trials_scans_only_closures_above_the_small_draw(monkeypatch):
+    # every closure of at most SMALL_DRAW orbits is measured by the gather;
+    # only larger ones reach the row scan, and the buckets do not move
+    vals = _kernels.enumerate_seed_values(6, 3, 3)
+    orb_of, images = search._orbit_partition(vals, 6, ("r", "c"))
+    args = (vals, orb_of, images, _kernels.orbit_distances(images, 6), 6, 600, 7, _kernels.LAW_MIXED)
+    want = _kernels.run_trials(*args)
+    scanned, scan = [], _kernels._closure_distance
+
+    def recording_scan(dist, orbs, d_gate):
+        scanned.append(orbs.size)
+        return scan(dist, orbs, d_gate)
+
+    monkeypatch.setattr(_kernels, "_closure_distance", recording_scan)
+    assert _same_trials(_kernels.run_trials(*args), want)
+    assert scanned and min(scanned) > _kernels.SMALL_DRAW
 
 
 def test_orbit_distances_refuse_before_allocating(monkeypatch):
@@ -176,6 +244,18 @@ def test_orbit_distances_refuse_before_allocating(monkeypatch):
         search.random_construction(search.SeedSetSpec(4, 2, 2), search.SearchConfig(trials=10))
     with pytest.raises(search.InstanceTooLargeError):
         search.exact_max_size(4, 2, 2, 3, ("r", "c", "GC"))
+
+
+def test_search_refuses_before_the_orbit_partition(monkeypatch):
+    # (4,2,2) has 48 seeds, so at least 12 orbits under r and c, whatever
+    # the partition would find; 12 * 12 cells over the limit is refused first
+    def no_partition(*args):
+        raise AssertionError("partitioned an instance the seed count refuses")
+
+    monkeypatch.setattr(search, "_orbit_partition", no_partition)
+    monkeypatch.setattr(_kernels, "DIST_MEMORY_LIMIT", 12 * 12 - 1)
+    with pytest.raises(search.InstanceTooLargeError, match="12 or more orbits"):
+        search.random_construction(search.SeedSetSpec(4, 2, 2), search.SearchConfig(trials=10))
 
 
 @functools.lru_cache(maxsize=None)
