@@ -10,15 +10,20 @@ when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
-from . import __version__, bincodes, factory, isomap, reference, search
+from . import __version__, _kernels, bincodes, factory, isomap, reference, search
 from .constraints import DnaCode, verify_code
-from .core import clean
+from .core import clean, unpack_all
+
+_BLOCK = 1 << 16  # lines per write; seeds are also decoded a block at a time
 
 
 def _out_path(name: str | None) -> Path | None:
@@ -37,15 +42,15 @@ def _manifest(args: argparse.Namespace, exclude=("func", "out")) -> dict:
     return {"command": params.pop("command"), "parameters": params, "version": __version__}
 
 
-def _emit_lines(path: Path | None, manifest: dict, lines: list[str]) -> None:
+def _emit_lines(path: Path | None, manifest: dict, lines: Iterable[str]) -> None:
+    # one write per block of lines, so a generator is never held whole
     header = [f"# dnacf {manifest['command']} (version {manifest['version']})"]
-    for k, v in sorted(manifest["parameters"].items()):
-        header.append(f"# {k}: {v}")
-    payload = "\n".join(header + lines) + "\n"
-    if path is None:
-        sys.stdout.write(payload)
-    else:
-        path.write_text(payload)
+    header += (f"# {k}: {v}" for k, v in sorted(manifest["parameters"].items()))
+    lines = iter(lines)
+    with contextlib.nullcontext(sys.stdout) if path is None else path.open("w") as out:
+        out.write("\n".join(header) + "\n")
+        while block := list(islice(lines, _BLOCK)):
+            out.write("\n".join(block) + "\n")
 
 
 def _emit_json(path: Path | None, obj: dict) -> None:
@@ -75,9 +80,10 @@ def read_code_file(path: str) -> list[str]:
 
 def cmd_seeds(args) -> int:
     spec = search.SeedSetSpec(args.n, args.ell, args.gc)
-    words = search.enumerate_seed_set(spec)
+    vals = _kernels.enumerate_seed_values(spec.n, spec.ell, spec.g)
     manifest = _manifest(args)
-    manifest["parameters"]["count"] = len(words)
+    manifest["parameters"]["count"] = int(vals.size)
+    words = (w for i in range(0, vals.size, _BLOCK) for w in unpack_all(vals[i : i + _BLOCK], spec.n))
     _emit_lines(_out_path(args.out), manifest, words)
     return 0
 

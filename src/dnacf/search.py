@@ -60,21 +60,12 @@ def enumerate_seed_set(spec: SeedSetSpec) -> list[str]:
 
 def orbit_closure(words: Iterable[str]) -> set[str]:
     """Smallest superset closed under reverse and complement (hence also
-    under reverse-complement)."""
-    out = set()
-    frontier = [core.clean(w) for w in words]
-    if frontier:
-        n = len(frontier[0])
-        if any(len(w) != n for w in frontier):
-            raise ValueError("mixed lengths")
-    while frontier:
-        w = frontier.pop()
-        if w in out:
-            continue
-        out.add(w)
-        frontier.append(core.reverse(w))
-        frontier.append(core.complement(w))
-    return out
+    under reverse-complement).  The two maps commute and are involutions, so
+    the closure is each word's four images."""
+    words = [core.clean(w) for w in words]
+    if len({len(w) for w in words}) > 1:
+        raise ValueError("mixed lengths")
+    return {u for w in words for u in (w, core.reverse(w), core.complement(w), core.reverse_complement(w))}
 
 
 @dataclass(frozen=True)
@@ -218,53 +209,34 @@ def exact_max_size(
     return _max_weight_clique(sizes[idxs].tolist(), adj)
 
 
+def _colour_bound(mask: int, weights: list[int], adj: list[int]) -> int:
+    """Greedy colouring bound on a clique within ``mask``: each independent
+    class contributes its heaviest member."""
+    bound = 0
+    while mask:
+        cls_max, avail = 0, mask
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= ~adj[v] & (avail - 1)
+            mask &= ~(1 << v)
+            cls_max = max(cls_max, weights[v])
+        bound += cls_max
+    return bound
+
+
 def _max_weight_clique(weights: list[int], adj: list[int]) -> int:
-    """Branch and bound with a greedy warm start and a coloring bound."""
-    v_count = len(weights)
-    if v_count == 0:
-        return 0
-    # greedy warm start
-    best = 0
-    for start in range(min(v_count, 32)):
-        cur, total = 0, 0
-        cand = (1 << v_count) - 1
-        v = start
-        while True:
-            cur |= 1 << v
-            total += weights[v]
-            cand &= adj[v]
-            if cand == 0:
-                break
-            v = (cand & -cand).bit_length() - 1
+    """Heaviest clique's weight by branch and bound over an explicit stack of
+    ``[candidates, weight]`` frames.  The top frame takes its lowest
+    candidate until the colouring bound of the rest cannot beat the best
+    clique found; the first dive is the greedy clique from vertex 0."""
+    best, stack = 0, [[(1 << len(weights)) - 1, 0]]
+    while stack:
+        cand, total = frame = stack[-1]
         best = max(best, total)
-
-    def color_bound(mask: int) -> int:
-        # partition candidates into independent classes; each contributes
-        # at most its heaviest member
-        bound = 0
-        rest = mask
-        while rest:
-            cls_max = 0
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= avail - 1
-                rest &= ~(1 << v)
-                cls_max = max(cls_max, weights[v])
-                avail &= ~adj[v]
-            bound += cls_max
-        return bound
-
-    def expand(cand: int, current: int) -> None:
-        nonlocal best
-        if current > best:
-            best = current
-        while cand:
-            if current + color_bound(cand) <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= ~(1 << v)
-            expand(cand & adj[v], current + weights[v])
-
-    expand((1 << v_count) - 1, 0)
+        if not cand or total + _colour_bound(cand, weights, adj) <= best:
+            stack.pop()
+            continue
+        v = (cand & -cand).bit_length() - 1
+        frame[0] = cand & ~(1 << v)
+        stack.append([cand & adj[v], total + weights[v]])
     return best

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -rP`` to see the per-criterion
 lines for passing tests as well.
 """
 
-import sys
 import time
 from itertools import product
 
@@ -31,8 +30,6 @@ from dnacf.isomap import (
     validate_pair,
 )
 from dnacf.search import SearchConfig, SeedSetSpec, enumerate_seed_set, exact_max_size, extremal_size, random_construction
-
-sys.setrecursionlimit(100_000)
 
 PAIR3 = BlockPair("ATA", "CGC")
 

@@ -57,6 +57,24 @@ def test_seeds_counts(tmp_path, capsys):
         assert len(read_code_file(str(out))) == expect
 
 
+def test_seeds_memory_stays_bounded():
+    # 602,880 seeds, 8.4 MB of text: written a block at a time, the words are
+    # never all held as strings (that took 176 MiB).  The child reports its
+    # own peak; RUSAGE_CHILDREN would report the largest child ever waited for
+    probe = (
+        "import resource, sys; from dnacf.cli import main; "
+        "code = main(['seeds', '--n', '13', '--ell', '1', '--gc', '6']); "
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)"
+    )
+    src = str(Path(dnacf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    err = subprocess.run([sys.executable, "-c", probe], env=env, stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True, check=True, timeout=120).stderr
+    code, maxrss_kib = map(int, err.split())
+    assert code == 0
+    assert maxrss_kib < 120 * 1024
+
+
 def test_seeds_usage_error(capsys):
     code, _, err = run(capsys, "seeds", "--n", "4", "--ell", "3", "--gc", "2")
     assert code == 2

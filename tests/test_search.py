@@ -1,3 +1,5 @@
+import inspect
+import random
 import sys
 
 import pytest
@@ -8,14 +10,13 @@ from dnacf.search import (
     InstanceTooLargeError,
     SearchConfig,
     SeedSetSpec,
+    _max_weight_clique,
     enumerate_seed_set,
     exact_max_size,
     extremal_size,
     orbit_closure,
     random_construction,
 )
-
-sys.setrecursionlimit(100_000)
 
 
 def verify_table(table):
@@ -77,6 +78,46 @@ def test_orbit_closure_is_closed():
         assert core.reverse(w) in got
         assert core.complement(w) in got
         assert core.reverse_complement(w) in got
+
+
+def closure_by_frontier(words):
+    """Oracle: close under reverse and complement by walking a frontier until
+    no new word appears."""
+    out = set()
+    frontier = [core.clean(w) for w in words]
+    if frontier:
+        n = len(frontier[0])
+        if any(len(w) != n for w in frontier):
+            raise ValueError("mixed lengths")
+    while frontier:
+        w = frontier.pop()
+        if w in out:
+            continue
+        out.add(w)
+        frontier.append(core.reverse(w))
+        frontier.append(core.complement(w))
+    return out
+
+
+def _outcome(f, words):
+    try:
+        return f(words)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+def test_orbit_closure_matches_frontier_oracle():
+    rng = random.Random(24)
+    for _ in range(3_000):
+        n = rng.randint(1, 7)
+        words = ["".join(rng.choices("ACGTacgt", k=n)) for _ in range(rng.randint(0, 6))]
+        kind = rng.randrange(4)
+        if kind == 0:  # one word of another length
+            other = rng.choice([m for m in range(1, 9) if m != n])
+            words.insert(rng.randint(0, len(words)), "".join(rng.choices("ACGT", k=other)))
+        elif kind == 1:  # one invalid base
+            words.insert(rng.randint(0, len(words)), "".join(rng.choices("ACGTN", k=n - 1)) + "N")
+        assert _outcome(orbit_closure, words) == _outcome(closure_by_frontier, words), words
 
 
 def test_random_construction_full_law():
@@ -214,6 +255,40 @@ def test_exact_max_size_pinned():
         for g, want in per_g.items():
             got = tuple(exact_max_size(n, ell, g, d, ops.split(",") if ops else ()) for d in range(1, n + 1))
             assert got == want, (n, ell, g, ops)
+
+
+def test_exact_runs_under_a_low_recursion_limit():
+    # the clique search keeps its own stack; a recursive one needs a frame
+    # per clique vertex, and the 168-word optimum has dozens of orbits
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+    try:
+        assert exact_max_size(6, 3, 3, 2, ("r", "c", "GC")) == 168
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_max_weight_clique_matches_subset_enumeration():
+    rng = random.Random(2007)
+    for _ in range(400):
+        v_count, density = rng.randint(0, 12), rng.random()
+        weights = [rng.randint(1, 4) for _ in range(v_count)]
+        adj = [0] * v_count
+        for a in range(v_count):
+            for b in range(a):
+                if rng.random() < density:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        # clique[mask]: mask without its lowest vertex is a clique inside
+        # that vertex's neighbourhood
+        clique, weight = [True] * (1 << v_count), [0] * (1 << v_count)
+        for mask in range(1, 1 << v_count):
+            v = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            clique[mask] = clique[rest] and rest & ~adj[v] == 0
+            weight[mask] = weight[rest] + weights[v]
+        want = max(w for w, ok in zip(weight, clique) if ok)
+        assert _max_weight_clique(weights, adj) == want, (weights, adj)
 
 
 def test_exact_refuses_large_instances():
