@@ -5,11 +5,11 @@ through one packed pair kernel, :func:`min_cross_u8`, capped by
 :data:`PAIR_WORK_LIMIT`.  The random search draws the subsets of a whole
 batch of trials as array expressions over counter-based SplitMix64 streams,
 at most :data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free partial
-Fisher-Yates; it hands back the closure behind each bucket, so witnesses need
-no second pass over the draws.  The search's distance work goes through one
-orbit-distance matrix (:func:`orbit_distances`), built tile by tile over its
-upper triangle from the group's images of each orbit's representative and
-capped by :data:`DIST_MEMORY_LIMIT`.
+Fisher-Yates of one value sort and one scatter; it hands back the closure
+behind each bucket, so witnesses need no second pass.  The search's distance
+work goes through one orbit-distance matrix (:func:`orbit_distances`), built
+tile by tile over its upper triangle from the group's images of each orbit's
+representative and capped by :data:`DIST_MEMORY_LIMIT`.
 
 Packed layout: two bits per base, leftmost base most significant, so packed
 values ascend in lexicographic string order.
@@ -320,39 +320,43 @@ def _fisher_yates(state, size, used, n_seed):
     """The first ``size[b]`` picks of a partial Fisher-Yates shuffle of
     ``range(n_seed)`` for every trial b, concatenated in trial order.
 
-    Draw k of trial b targets ``j = k + z % (n_seed - k)`` and swaps slots k
-    and j.  Slot k keeps j unless an earlier draw of the trial also targeted
-    j; then it gets the value that the last such draw h carried into j.  That
-    value came from slot h, so it is found by following "last earlier draw
-    that targeted my own slot" back to a draw r whose slot nobody targeted
-    before it, and it is r's slot index.  No swap is made.
+    Draw k of trial b targets ``j = k + r``, ``r = z % (n_seed - k)``, and
+    swaps slots k and j.  Slot k keeps j unless an earlier draw of the trial
+    also targeted j; then it gets the value that the last such draw h carried
+    into j.  That value came from slot h, so it is found by following "last
+    earlier draw that targeted my own slot" back to a draw whose slot nobody
+    targeted before it, and it is that draw's slot index.  No swap is made.
+    A draw that targets slot x has k <= x, so sorted by (trial, target,
+    draw), that earlier draw for draw x is the last entry of group (trial,
+    x).  It is draw x itself only if x targets its own slot (r = 0), and no
+    chain reads such a draw: chains start at entries that another of their
+    group follows, and step to draws that targeted a later slot than their own.
     """
     total = int(size.sum())
     trial = np.repeat(np.arange(size.size), size)
     k = np.arange(total) - np.repeat(np.cumsum(size) - size, size)
     z = _draws(state[trial], used[trial] + k + 1)
-    j = k + (z % (n_seed - k).astype(np.uint64)).astype(np.int64)
-    # sorted by the key (trial, target, draw), the last earlier draw that
-    # targeted the same slot is the previous entry of the same group
-    span = int(size.max())
-    group = trial * n_seed + j
-    key = group * span + k
-    order = np.argsort(key)
-    key, group = key[order], group[order]
-    prev = np.full(total, -1)
-    same = group[1:] == group[:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    # the last earlier draw that targeted my own slot k: one sorted lookup
-    own = (trial * n_seed + k) * span
-    pos = np.searchsorted(key, own + k) - 1
-    found = (pos >= 0) & (key[pos] >= own)
-    root = np.where(found, order[pos], np.arange(total))
-    while True:  # pointer jumping to the start of every chain
-        nxt = root[root]
-        if np.array_equal(nxt, root):
-            break
-        root = nxt
-    return np.where(prev < 0, j, k[root][prev])
+    r = (z % (n_seed - k).astype(np.uint64)).astype(np.int64)
+    j = k + r
+    # one value sort; the key fits in 63 bits, as a batch makes at most 2**16 draws
+    # (DRAW_BATCH_LIMIT), a lone trial at most n_seed, and the search admits at most
+    # 4 x 23,170 < 2**17 seeds (check_orbit_count): bits <= 17, key < 2**(16 + 17 + 17)
+    bits = total.bit_length()
+    key = np.sort((trial * n_seed + j) << bits | np.arange(total))
+    order = key & ((1 << bits) - 1)
+    key >>= bits
+    last = np.r_[key[1:] != key[:-1], True]  # last entry of its group
+    rep = np.flatnonzero(~last[:-1])  # entries rep and rep + 1 target one slot
+    # own[d]: the last draw before d that targeted d's slot, d itself if none,
+    # scattered from the group ends whose slot belongs to a draw of their trial
+    src = order[last & (j < size[trial])[order]]
+    own = np.arange(total)
+    own[src + r[src]] = src
+    cur = order[rep]  # chains are followed only where a repeated target reads them
+    while not np.array_equal(nxt := own[cur], cur):
+        cur = nxt
+    j[order[rep + 1]] = k[cur]
+    return j
 
 
 def run_trials(vals, orb_of, images, dist, n, trials, master_seed, law):

@@ -337,6 +337,12 @@ GOLDEN_STDOUT = {
         "f677a856e7512cb143c6ac87dbcdc188488e3548fd3908dfda3fd654692f20e1",
     ("pairs", "--ell", "6"):
         "75f5b0b21944525006271111a433ebfe62190ff35273e0f98d2179363220e7fa",
+    # recorded before the batched Fisher-Yates became one value sort: the
+    # benchmark's heaviest draw cell (about 1M draws), and the full law
+    ("search", "--n", "8", "--ell", "4", "--gc", "4", "--trials", "1000", "--seed", "3", "--law", "uniform"):
+        "89ec7ef586206210aba7a4958422ef4ba8e162a79bf82fd938a36f4040d54c4d",
+    ("search", "--n", "8", "--ell", "4", "--gc", "4", "--trials", "20", "--seed", "3", "--law", "full"):
+        "c47387bfbb6c19babf3596e971d4494fdd74ea30a5ab33a8dca47bcb5e183d90",
 }
 
 

@@ -391,9 +391,14 @@ def test_run_trials_parity(law):
 @pytest.mark.parametrize("master_seed", [0, 1, (1 << 63) - 1])
 def test_batched_draws_match_scalar_stream(law, master_seed, monkeypatch):
     # every trial's subset, in draw order, against the scalar oracle; a small
-    # cap splits chunks into many batches and leaves some trials alone
+    # cap splits chunks into many batches and leaves some trials alone.  At
+    # n_seed = 1 every draw targets its own slot; at 3 two full-law trials in
+    # three repeat a target; 84,064 is the (12,6,6) seed count, the most the
+    # caps admit, where a full-law trial of 84,064 draws runs alone and fills
+    # the key's widest draw field
     code = _kernels.LAW_CODES[law]
-    for n_seed, trials, cap in [(2, 3000, 1 << 16), (48, 3000, 40), (2024, 2000, 1 << 16)]:
+    for n_seed, trials, cap in [(1, 3000, 40), (2, 3000, 1 << 16), (3, 3000, 1 << 16), (48, 3000, 40),
+                                (2024, 2000, 1 << 16), (84064, 2, 1 << 16)]:
         monkeypatch.setattr(_kernels, "DRAW_BATCH_LIMIT", cap)
         got = []
         for first, state, size, used in _kernels._trial_batches(trials, master_seed, code, n_seed):
