@@ -2,9 +2,11 @@
 
 Every kernel is NumPy-vectorized.  Every code-level distance scan goes
 through one packed pair kernel, :func:`min_cross_u8`, capped by
-:data:`PAIR_WORK_LIMIT`.  The random search draws the subsets of a whole
-batch of trials as array expressions over counter-based SplitMix64 streams,
-at most :data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free partial
+:data:`PAIR_WORK_LIMIT`; it stops once both of its minima are below the
+caller's ``stop``, so two failed verdicts against a floor end the scan.  The
+random search draws the subsets of a whole batch of trials as array
+expressions over counter-based SplitMix64 streams, at most
+:data:`DRAW_BATCH_LIMIT` draws per batch, and a swap-free partial
 Fisher-Yates of one value sort and one scatter; it hands back the closure
 behind each bucket, so witnesses need no second pass.  The search's distance
 work goes through one orbit-distance matrix (:func:`orbit_distances`), built
@@ -159,11 +161,15 @@ def _pack_rows(mat):
     return out
 
 
-def min_cross_u8(a, reverse=False):
+def min_cross_u8(a, reverse=False, stop=2):
     """Two minima over the row pairs i <= j of a uint8 matrix of values 0..3:
     of d(a_i, b_j) and of d(a_i, 3 - b_j), where b is ``a``, or ``a`` with
     every row reversed for ``reverse=True``.  Pairs at distance 0 are
     skipped; a minimum with no pair left is ``n + 1``.
+
+    The scan stops once both running minima are below ``stop``: each value
+    is then at least its true minimum, compares with ``stop`` exactly, and
+    is exact if either true minimum is at least ``stop`` (default 2: both 1).
 
     The upper triangle covers every pair because reverse, complement and
     reverse-complement preserve distance and are involutions, so
@@ -215,7 +221,7 @@ def min_cross_u8(a, reverse=False):
             nz += np.bitwise_count(x, out=cnt)
         best = min(best, int(nz.min()) + 1)
         best_comp = min(best_comp, int(np.subtract(nz, pc, out=pc).min()) + 1)
-        if best == best_comp == 1:
+        if best < stop and best_comp < stop:
             break
         lo = hi
     return best, best_comp

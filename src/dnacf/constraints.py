@@ -142,6 +142,8 @@ def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> 
     reverse-complement, and complement checks compare every ordered codeword
     pair (x, y) against the transformed y, skipping pairs where x equals the
     transform, and require distance >= ``claimed_d`` (measured min if absent).
+    The reverse scan stops once both of its verdicts fail; a code that passes
+    either one still has every pair scanned.
     """
     if not isinstance(code, DnaCode):
         code = DnaCode.from_iterable(code)
@@ -151,7 +153,7 @@ def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> 
     min_h = min(n, min_h)  # rows are distinct; n + 1 for one row
     floor = claimed_d if claimed_d is not None else min_h
     # pairs at distance 0 (x equals the transform of y) are skipped
-    rev, rc = _kernels.min_cross_u8(mat, reverse=True)
+    rev, rc = _kernels.min_cross_u8(mat, reverse=True, stop=floor)  # only compared with floor
 
     gcs: set[int] = set()
     level, hairpin = n // 2, True

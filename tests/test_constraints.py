@@ -1,5 +1,7 @@
+from functools import lru_cache
 from itertools import accumulate, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -337,3 +339,44 @@ def test_verify_code_matrix_scans_match_string_predicates(chunk, words):
 def test_verify_code_matrix_scans_on_encoded_codes(code, pair, h0):
     dna, report = build_dna_code(code, pair, h0=h0, require=("conflict", "gc_balanced"))
     _assert_matrix_scans_match_strings(dna.words, report.constraint_report)
+
+
+_min_cross = _kernels.min_cross_u8
+
+
+def _full_scan_report(words, claimed_d):
+    # the reference: the reverse scan runs to its exact minima, whatever stop
+    # verify_code passes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "min_cross_u8", lambda a, reverse=False, stop=2: _min_cross(a, reverse))
+        return verify_code(words, claimed_d)
+
+
+@lru_cache(maxsize=None)
+def _golay_words(h0):
+    # minima (12, 9) forward and (3, 3) reverse at every h0: both reverse
+    # verdicts fail at the measured floor of 12
+    return build_dna_code(bincodes.golay_23_12(), BlockPair("ATA", "CGC"), h0=h0)[0].words
+
+
+@pytest.mark.parametrize("h0", ["x", "xc", "y", "yc"])
+def test_verify_code_on_golay_matches_a_full_reverse_scan(h0):
+    words = _golay_words(h0)
+    for claimed_d in (None, 4):  # floors 12 and 4: both verdicts fail
+        assert verify_code(words, claimed_d) == _full_scan_report(words, claimed_d), claimed_d
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_verify_code_on_random_codes_matches_a_full_reverse_scan(chunk, monkeypatch):
+    # a 64-cell chunk ends each reverse scan mid-way wherever both verdicts fail
+    rng = np.random.default_rng(26)
+    codes = [_golay_words("yc")[:300]]
+    for m, n in ((2, 6), (40, 5), (200, 9), (150, 12), (60, 40)):
+        rows = np.unique(rng.integers(0, 4, size=(m, n)), axis=0)
+        codes.append(["".join("ACGT"[b] for b in row) for row in rows])
+    if chunk:
+        monkeypatch.setattr(_kernels, "PAIR_CHUNK", chunk)
+    for words in codes:
+        n = len(words[0])
+        for claimed_d in (None, 0, 1, 2, 3, n // 3, n // 2, n, n + 1):
+            assert verify_code(words, claimed_d) == _full_scan_report(words, claimed_d), (n, claimed_d)

@@ -538,12 +538,49 @@ def test_pair_scan_finds_a_planted_distance_one_pair(where, monkeypatch):
         assert _kernels.min_cross_u8(mat, reverse) == want
 
 
+def _stop_cases():
+    # random rows, a repetition code (every minimum >= 3), and that code with
+    # one partner planted at distance 1 in the first or the last chunk
+    rng = np.random.default_rng(26)
+    for m, n in ((2, 5), (12, 4), (40, 9), (60, 15), (30, 33)):
+        yield _distinct_rows(rng, m, n)
+    base = np.repeat(_distinct_rows(rng, 80, 5), 3, axis=1)
+    yield base
+    for transform, _, _ in PLANTS.values():
+        for i, j in ((0, 1), (-2, -1)):
+            mat = base.copy()
+            mat[j] = transform(mat[i])
+            mat[j, 0] = (mat[j, 0] + 1) % 4
+            yield mat
+
+
+@pytest.mark.parametrize("chunk", [None, 16])
+def test_pair_scan_stop_contract(chunk, monkeypatch):
+    # each value >= its true minimum, its comparison with stop exact, and both
+    # values exact once either true minimum is not below stop; a 16-pair
+    # chunk puts most rows in a chunk of their own, so the stop fires mid-scan
+    if chunk:
+        monkeypatch.setattr(_kernels, "PAIR_CHUNK", chunk)
+    for mat in _stop_cases():
+        n = mat.shape[1]
+        for reverse in (False, True):
+            want = _brute_min(mat, reverse)
+            for stop in range(n + 3):
+                got = _kernels.min_cross_u8(mat, reverse, stop)
+                case = (mat.shape, reverse, stop, got, want)
+                assert all(g >= w for g, w in zip(got, want)), case
+                assert [g < stop for g in got] == [w < stop for w in want], case
+                if max(want) >= stop:
+                    assert got == want, case
+
+
 def test_pair_scan_refuses_before_packing(monkeypatch):
     a = np.zeros((6, 40), dtype=np.uint8)  # two words per row
     a[np.arange(6), np.arange(6)] = 1
     monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 6 * 2)
     assert _kernels.min_cross_u8(a) == _brute_min(a) == (2, 40)
     assert _kernels.min_cross_u8(a, True) == _brute_min(a, True)
+    assert _kernels.min_cross_u8(a, True, stop=42) == _brute_min(a, True)
     monkeypatch.setattr(_kernels, "PAIR_WORK_LIMIT", 6 * 6 * 2 - 1)
 
     def no_packing(mat):
@@ -553,6 +590,8 @@ def test_pair_scan_refuses_before_packing(monkeypatch):
     for reverse in (False, True):
         with pytest.raises(_kernels.InstanceTooLargeError):
             _kernels.min_cross_u8(a, reverse)
+        with pytest.raises(_kernels.InstanceTooLargeError):
+            _kernels.min_cross_u8(a, reverse, stop=42)
 
 
 def test_min_cross_parity_and_skip_rule():
