@@ -142,8 +142,8 @@ def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> 
     reverse-complement, and complement checks compare every ordered codeword
     pair (x, y) against the transformed y, skipping pairs where x equals the
     transform, and require distance >= ``claimed_d`` (measured min if absent).
-    The reverse scan stops once both of its verdicts fail; a code that passes
-    either one still has every pair scanned.
+    The reverse scan stops once both of its verdicts are settled, so a code
+    that passes either one at a floor of 2 or more has every pair scanned.
     """
     if not isinstance(code, DnaCode):
         code = DnaCode.from_iterable(code)
@@ -152,8 +152,9 @@ def verify_code(code: DnaCode | Iterable[str], claimed_d: int | None = None) -> 
     min_h, comp = _kernels.min_cross_u8(mat)  # comp <= n: a word and its own complement
     min_h = min(n, min_h)  # rows are distinct; n + 1 for one row
     floor = claimed_d if claimed_d is not None else min_h
-    # pairs at distance 0 (x equals the transform of y) are skipped
-    rev, rc = _kernels.min_cross_u8(mat, reverse=True, stop=floor)  # only compared with floor
+    # pairs at distance 0 (x equals the transform of y) are skipped; both values
+    # are only compared with floor, and every verdict holds below 2
+    rev, rc = _kernels.min_cross_u8(mat, reverse=True, stop=max(floor, 2))
 
     gcs: set[int] = set()
     level, hairpin = n // 2, True
