@@ -380,3 +380,20 @@ def test_verify_code_on_random_codes_matches_a_full_reverse_scan(chunk, monkeypa
         n = len(words[0])
         for claimed_d in (None, 0, 1, 2, 3, n // 3, n // 2, n, n + 1):
             assert verify_code(words, claimed_d) == _full_scan_report(words, claimed_d), (n, claimed_d)
+
+
+def test_verify_code_reverse_scan_stops_no_later_than_the_default(monkeypatch):
+    # below a floor of 2 every reverse verdict holds, yet the scan must still
+    # stop at two minima of 1, as the default stop does
+    stops = []
+
+    def spy(a, reverse=False, stop=2):
+        if reverse:
+            stops.append(stop)
+        return _min_cross(a, reverse, stop)
+
+    monkeypatch.setattr(_kernels, "min_cross_u8", spy)
+    words = ["AAAA", "AAAC", "CAAA", "TTTT"]  # minimum distance 1
+    for claimed_d in (None, 0, 1, 2, 3):
+        verify_code(words, claimed_d)
+    assert stops == [2, 2, 2, 2, 3]
